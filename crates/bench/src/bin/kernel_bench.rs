@@ -10,7 +10,7 @@
 //!              [--hd] [--check-simd]
 //! ```
 //!
-//! Six kernel rows, each `scalar_ns` / `swar_ns` / `speedup` /
+//! Seven kernel rows, each `scalar_ns` / `swar_ns` / `speedup` /
 //! `identical` (the SWAR side is pinned to the explicit SWAR entry
 //! points, so these rows keep their meaning regardless of what the
 //! runtime dispatcher would pick):
@@ -26,6 +26,10 @@
 //!   subpixel translation: every weight is k/2^15)
 //! - `hamming` — shared XOR+popcount core with the 128-bit early exit
 //!   vs the scalar oracle pair, driven by a two-nearest scan
+//! - `brief_describe` — libm-free exact rounding and unclamped interior
+//!   samples vs the libm-round/`get_clamped` oracle, on the real ORB
+//!   keypoints and smoothed pyramid levels of 8 paper-scale (120×90)
+//!   frames of Input 2
 //!
 //! The `identical` flag re-verifies bit-exactness on the bench inputs
 //! (outputs compared before timing), and a steady-allocation probe
@@ -53,7 +57,9 @@
 //! end-to-end checkpointed-campaign row anchors the kernel numbers to
 //! campaign throughput. `--check-simd` fails the process unless SSE2
 //! reaches ≥ 1.5× over SWAR on at least two of {fast_detect,
-//! warp_affine, warp_halfpix, hamming}; the AVX2 and row-band gates
+//! warp_affine, warp_halfpix, hamming, brief_describe}; `brief_describe`
+//! has one tier, the paper-scale keypoints, because its cost is per
+//! keypoint and ORB caps keypoints per frame. The AVX2 and row-band gates
 //! arm only when the CPU features / core count permit (a note is
 //! printed when they auto-skip).
 
@@ -67,11 +73,12 @@ use vs_core::PipelineConfig;
 use vs_fault::campaign::{self, CampaignConfig, CheckpointPolicy};
 use vs_fault::spec::RegClass;
 use vs_features::fast::{self, FastConfig, FastScratch};
-use vs_features::{Descriptor, KeyPoint};
+use vs_features::{brief, orientation, Descriptor, KeyPoint, OrbConfig};
 use vs_image::{
     downsample_half_into_level, downsample_half_into_scalar, downsample_half_into_swar,
-    gaussian_blur_5x5_into_bands, gaussian_blur_5x5_into_level, gaussian_blur_5x5_into_scalar,
-    gaussian_blur_5x5_into_swar, GrayImage, RgbImage, SimdLevel,
+    gaussian_blur_5x5, gaussian_blur_5x5_into_bands, gaussian_blur_5x5_into_level,
+    gaussian_blur_5x5_into_scalar, gaussian_blur_5x5_into_swar, GrayImage, Pyramid, RgbImage,
+    SimdLevel,
 };
 use vs_linalg::{Mat3, Vec2};
 use vs_matching::{Match, RatioMatcher};
@@ -304,6 +311,51 @@ fn two_nearest(
     }));
 }
 
+/// BRIEF's real inputs: for every pyramid level of every frame, the
+/// smoothed level and its oriented FAST keypoints, built with the
+/// default [`OrbConfig`] exactly as `Orb` builds them.
+fn brief_inputs(frames: &[RgbImage]) -> Vec<(GrayImage, Vec<KeyPoint>)> {
+    let cfg = OrbConfig::default();
+    let mut scratch = FastScratch::default();
+    let mut out = Vec::new();
+    for frame in frames {
+        let pyr = Pyramid::new(&frame.to_gray(), cfg.levels, cfg.min_level_size);
+        let fast_cfg = FastConfig {
+            threshold: cfg.fast_threshold,
+            max_keypoints: (cfg.max_features / pyr.len()).max(8),
+            ..FastConfig::default()
+        };
+        for img in (0..pyr.len()).filter_map(|l| pyr.level(l)) {
+            let mut kps = Vec::new();
+            fast::detect_into(img, &fast_cfg, &mut scratch, &mut kps).expect("fast");
+            orientation::assign_orientations_mut(img, &mut kps).expect("orientation");
+            out.push((gaussian_blur_5x5(img), kps));
+        }
+    }
+    out
+}
+
+/// Describe every `(smoothed level, keypoints)` input at `level` into
+/// `out` (one descriptor vector per input).
+fn describe_all(
+    inputs: &[(GrayImage, Vec<KeyPoint>)],
+    out: &mut [Vec<Descriptor>],
+    level: SimdLevel,
+) {
+    for ((img, kps), descs) in inputs.iter().zip(out.iter_mut()) {
+        brief::describe_into_level(img, kps, descs, level).expect("brief");
+    }
+}
+
+/// The paper-scale BRIEF bench input: 8 frames of Input 2 at 120×90.
+fn paper_brief_inputs() -> Vec<(GrayImage, Vec<KeyPoint>)> {
+    brief_inputs(&render_input(
+        &InputSpec::input2_preset()
+            .with_frames(8)
+            .with_frame_size(120, 90),
+    ))
+}
+
 /// Run every kernel row. Called on a dedicated sink-less thread:
 /// telemetry is disabled there (`vs_telemetry::enabled()` is false), so
 /// the timers the instrumented kernels would otherwise read stay off —
@@ -480,6 +532,24 @@ fn bench_kernels(o: &BenchOpts) -> Vec<KernelRow> {
                 });
                 std::hint::black_box(&nearest_b);
             },
+        ));
+    }
+
+    // brief_describe: libm-free rounding and unclamped interior samples
+    // vs the libm-round/get_clamped oracle, on real ORB keypoints.
+    {
+        let inputs = paper_brief_inputs();
+        let mut out_a = vec![Vec::new(); inputs.len()];
+        let mut out_b = vec![Vec::new(); inputs.len()];
+        describe_all(&inputs, &mut out_a, SimdLevel::Scalar);
+        describe_all(&inputs, &mut out_b, SimdLevel::Swar);
+        let identical = out_a == out_b;
+        rows.push(run_pair(
+            "brief_describe",
+            o.budget,
+            identical,
+            || describe_all(&inputs, &mut out_a, SimdLevel::Scalar),
+            || describe_all(&inputs, &mut out_b, SimdLevel::Swar),
         ));
     }
 
@@ -761,6 +831,33 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
         }
     }
 
+    // brief_describe: the paper-scale ORB keypoints (BRIEF's cost is
+    // per keypoint, and ORB caps keypoints per frame, so one tier).
+    {
+        let inputs = paper_brief_inputs();
+        let n_kps: usize = inputs.iter().map(|(_, k)| k.len()).sum();
+        let tier = format!("120x90k{n_kps}");
+        let mut out_o = vec![Vec::new(); inputs.len()];
+        describe_all(&inputs, &mut out_o, SimdLevel::Scalar);
+        for &level in &levels {
+            let mut out_s = vec![Vec::new(); inputs.len()];
+            let mut out_l = vec![Vec::new(); inputs.len()];
+            describe_all(&inputs, &mut out_s, SimdLevel::Swar);
+            describe_all(&inputs, &mut out_l, level);
+            let identical = out_l == out_o && out_s == out_o;
+            rows.push(run_hd_pair(
+                "brief_describe",
+                &tier,
+                level,
+                "swar",
+                o.budget,
+                identical,
+                || describe_all(&inputs, &mut out_s, SimdLevel::Swar),
+                || describe_all(&inputs, &mut out_l, level),
+            ));
+        }
+    }
+
     // hamming: the real ratio-matcher inner loop over HD-scale
     // descriptor sets (resolution-independent, so one tier).
     {
@@ -931,7 +1028,13 @@ fn bench_hd_bands(o: &BenchOpts, host_cores: usize) -> (Vec<HdRow>, Option<Strin
 }
 
 /// Kernels whose SIMD speedup the `--check-simd` gate inspects.
-const GATE_KERNELS: [&str; 4] = ["fast_detect", "warp_affine", "warp_halfpix", "hamming"];
+const GATE_KERNELS: [&str; 5] = [
+    "fast_detect",
+    "warp_affine",
+    "warp_halfpix",
+    "hamming",
+    "brief_describe",
+];
 
 fn hd_row_json(r: &HdRow) -> String {
     format!(
@@ -1048,12 +1151,18 @@ fn run_hd(o: &BenchOpts, host_cores: usize) -> ExitCode {
     let band_armed = host_cores >= 2;
     let band_pass = band_rows.iter().any(|r| r.speedup() >= 1.2);
     if sse2_armed {
-        println!("gate sse2: {sse2_wins}/4 gate kernels at >=1.5x over swar -> pass={sse2_pass}");
+        println!(
+            "gate sse2: {sse2_wins}/{} gate kernels at >=1.5x over swar -> pass={sse2_pass}",
+            GATE_KERNELS.len()
+        );
     } else {
         println!("note: sse2 gate skipped (not an x86-64 host)");
     }
     if avx2_armed {
-        println!("gate avx2: {avx2_wins}/4 gate kernels at >=1.5x over swar -> pass={avx2_pass}");
+        println!(
+            "gate avx2: {avx2_wins}/{} gate kernels at >=1.5x over swar -> pass={avx2_pass}",
+            GATE_KERNELS.len()
+        );
     } else {
         println!("note: avx2 gate skipped (avx2 not detected; features: {features})");
     }
@@ -1106,11 +1215,17 @@ fn run_hd(o: &BenchOpts, host_cores: usize) -> ExitCode {
     }
     if o.check_simd {
         if sse2_armed && !sse2_pass {
-            eprintln!("error: sse2 gate failed ({sse2_wins}/4 gate kernels at >=1.5x, need >=2)");
+            eprintln!(
+                "error: sse2 gate failed ({sse2_wins}/{} gate kernels at >=1.5x, need >=2)",
+                GATE_KERNELS.len()
+            );
             return ExitCode::FAILURE;
         }
         if avx2_armed && !avx2_pass {
-            eprintln!("error: avx2 gate failed ({avx2_wins}/4 gate kernels at >=1.5x, need >=2)");
+            eprintln!(
+                "error: avx2 gate failed ({avx2_wins}/{} gate kernels at >=1.5x, need >=2)",
+                GATE_KERNELS.len()
+            );
             return ExitCode::FAILURE;
         }
         if band_armed && !band_pass {

@@ -6,10 +6,10 @@
 //! small FPR campaign on the standard `VsWorkload`, and prints one
 //! digest line per phase to stdout. The dispatch level and detected
 //! CPU features go to stderr only. `scripts/verify.sh` executes this
-//! binary under `VS_SIMD=scalar`, `VS_SIMD=swar` and `VS_SIMD=auto`
-//! and diffs the stdout — any divergence means a vector kernel leaked
-//! a bit somewhere (into the output pixels, the tap stream, or an
-//! injection outcome).
+//! binary under `VS_SIMD=scalar`, `VS_SIMD=swar`, `VS_SIMD=sse2` (on
+//! x86-64) and `VS_SIMD=auto` and diffs the stdout — any divergence
+//! means a vector kernel leaked a bit somewhere (into the output
+//! pixels, the tap stream, or an injection outcome).
 //!
 //! `std::hash::DefaultHasher` is deterministic across processes (SipHash
 //! with fixed keys), so the digests are directly comparable.

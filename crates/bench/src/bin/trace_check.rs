@@ -13,7 +13,8 @@
 //! run workspace) must report `grown=0` — every buffer group reused,
 //! none regrown. `--kernels` validates the per-kernel instrumentation:
 //! every `warp` and `match` event must carry an `ns` timer, every `orb`
-//! event the `fast_prereject`/`fast_ns`/`blur_ns` counters, and at
+//! event the `fast_prereject`/`fast_ns`/`orient_ns`/`blur_ns`/`brief_ns`
+//! counters (so a trace alone shows BRIEF's share of ORB), and at
 //! least one traced detection must have exercised the SWAR pre-reject
 //! (`fast_prereject > 0`). `--metrics` validates the scaling-report
 //! metrics snapshots: at least one `metrics_phase` event, each carrying
@@ -195,7 +196,16 @@ fn main() -> ExitCode {
         let field_checks: &[(&str, &[&str])] = &[
             ("warp", &["ns"]),
             ("match", &["ns"]),
-            ("orb", &["fast_prereject", "fast_ns", "blur_ns"]),
+            (
+                "orb",
+                &[
+                    "fast_prereject",
+                    "fast_ns",
+                    "orient_ns",
+                    "blur_ns",
+                    "brief_ns",
+                ],
+            ),
         ];
         for &(name, fields) in field_checks {
             for ev in events.iter().filter(|e| e.name == name) {

@@ -10,10 +10,11 @@
 //! leaves behind.
 
 use vs_features::fast::{self, FastConfig, FastScratch};
-use vs_features::{Descriptor, KeyPoint};
+use vs_features::{brief, orientation, Descriptor, KeyPoint};
 use vs_image::{
-    downsample_half_into_level, downsample_half_into_scalar, gaussian_blur_5x5_into_bands,
-    gaussian_blur_5x5_into_level, gaussian_blur_5x5_into_scalar, GrayImage, RgbImage, SimdLevel,
+    downsample_half_into_level, downsample_half_into_scalar, gaussian_blur_5x5,
+    gaussian_blur_5x5_into_bands, gaussian_blur_5x5_into_level, gaussian_blur_5x5_into_scalar,
+    GrayImage, RgbImage, SimdLevel,
 };
 use vs_linalg::{Mat3, Vec2};
 use vs_matching::{Match, RatioMatcher, SimpleMatcher};
@@ -103,6 +104,29 @@ fn fast_levels_match_scalar_on_golden_and_corrupted() {
             let mut out: Vec<KeyPoint> = Vec::new();
             fast::detect_into_level(&img, &cfg, &mut scratch, &mut out, level).unwrap();
             assert_eq!(out, out_o, "fast {name} level {level}");
+        }
+    }
+}
+
+#[test]
+fn brief_levels_match_scalar_on_golden_and_corrupted() {
+    let cfg = FastConfig::default();
+    for (name, img) in gray_inputs() {
+        let mut kps: Vec<KeyPoint> = Vec::new();
+        fast::detect_into(&img, &cfg, &mut FastScratch::default(), &mut kps).unwrap();
+        orientation::assign_orientations_mut(&img, &mut kps).unwrap();
+        let smoothed = gaussian_blur_5x5(&img);
+        let mut out_o: Vec<Descriptor> = Vec::new();
+        brief::describe_into_level(&smoothed, &kps, &mut out_o, SimdLevel::Scalar).unwrap();
+        assert_eq!(
+            out_o.len(),
+            kps.len(),
+            "brief {name}: one descriptor per keypoint"
+        );
+        for level in available_levels() {
+            let mut out: Vec<Descriptor> = Vec::new();
+            brief::describe_into_level(&smoothed, &kps, &mut out, level).unwrap();
+            assert_eq!(out, out_o, "brief {name} level {level}");
         }
     }
 }

@@ -169,7 +169,9 @@ impl Orb {
         // they cannot perturb the fault stream either way.
         let timing = vs_telemetry::enabled();
         let mut fast_ns = 0u64;
+        let mut orient_ns = 0u64;
         let mut blur_ns = 0u64;
+        let mut brief_ns = 0u64;
         let mut fast_prereject = 0u64;
         for level in 0..n_levels {
             let level_img: &GrayImage = if level == 0 {
@@ -201,13 +203,21 @@ impl Orb {
                 }
                 forensics::record(Stage::Fast, h);
             }
-            orientation::assign_orientations_mut(level_img, &mut scratch.kps)?;
             let t1 = timing.then(std::time::Instant::now);
-            gaussian_blur_5x5_into(level_img, &mut scratch.blur_tmp, &mut scratch.smoothed);
+            orientation::assign_orientations_mut(level_img, &mut scratch.kps)?;
             if let Some(t1) = t1 {
-                blur_ns += t1.elapsed().as_nanos() as u64;
+                orient_ns += t1.elapsed().as_nanos() as u64;
             }
+            let t2 = timing.then(std::time::Instant::now);
+            gaussian_blur_5x5_into(level_img, &mut scratch.blur_tmp, &mut scratch.smoothed);
+            if let Some(t2) = t2 {
+                blur_ns += t2.elapsed().as_nanos() as u64;
+            }
+            let t3 = timing.then(std::time::Instant::now);
             brief::describe_into(&scratch.smoothed, &scratch.kps, &mut scratch.descs)?;
+            if let Some(t3) = t3 {
+                brief_ns += t3.elapsed().as_nanos() as u64;
+            }
             if forensics::enabled() {
                 let mut h = 0u64;
                 for (kp, desc) in scratch.kps.iter().zip(&scratch.descs) {
@@ -238,7 +248,9 @@ impl Orb {
                 ("levels", vs_telemetry::Value::U64(n_levels as u64)),
                 ("fast_prereject", vs_telemetry::Value::U64(fast_prereject)),
                 ("fast_ns", vs_telemetry::Value::U64(fast_ns)),
+                ("orient_ns", vs_telemetry::Value::U64(orient_ns)),
                 ("blur_ns", vs_telemetry::Value::U64(blur_ns)),
+                ("brief_ns", vs_telemetry::Value::U64(brief_ns)),
             ],
         );
         Ok(())

@@ -1,8 +1,15 @@
-//! Explicit SSE2/AVX2 paths for the FAST-9 segment test — the only
-//! `unsafe` code in the features crate.
+//! Explicit SSE2/AVX2 paths for the FAST-9 segment test and the rBRIEF
+//! test-pair loop — the only `unsafe` code in the features crate.
 //!
-//! Two pieces are vectorized, both *outside* the fault-tap stream so the
-//! vector paths are campaign-safe at any dispatch level:
+//! BRIEF's 256-pair loop runs between the per-keypoint work taps and
+//! the per-word store taps, with no taps inside; the vector paths
+//! rotate two (SSE2) or four (AVX2) pairs per step, round half away
+//! from zero by truncating and stepping on the exact fraction, clamp in
+//! the integer domain, and are proven bit-exact to the scalar oracle in
+//! `brief`'s tests.
+//!
+//! Two pieces of FAST are vectorized, both *outside* the fault-tap
+//! stream so the vector paths are campaign-safe at any dispatch level:
 //!
 //! * the per-row **compass quick-scan**: the scalar detector rejects a
 //!   pixel without any taps when fewer than 2 of the 4 compass points
@@ -29,6 +36,7 @@ use crate::fast::{classify, has_arc16, ARC_LENGTH};
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use crate::brief::{Pattern, BITS};
     use std::arch::x86_64::*;
 
     /// Unsigned per-byte `a ≥ b`.
@@ -158,6 +166,215 @@ mod x86 {
             _mm_movemask_epi8(dark) as u16,
         )
     }
+
+    /// `brief::round_half_away` on four lanes, narrowed to `i32`:
+    /// truncate toward zero, then step by ±1 where the exact fractional
+    /// part reaches ±½. Exact while `|v| < 2^31`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) fn round4(v: __m256d) -> __m128i {
+        let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(v);
+        let f = _mm256_sub_pd(v, t);
+        let one = _mm256_set1_pd(1.0);
+        let up = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(f, _mm256_set1_pd(0.5)), one);
+        let down = _mm256_and_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(f, _mm256_set1_pd(-0.5)), one);
+        _mm256_cvttpd_epi32(_mm256_sub_pd(_mm256_add_pd(t, up), down))
+    }
+
+    /// Two-lane SSE2 twin of [`round4`]: `cvttpd_epi32` truncates, the
+    /// exact fraction steps the result; 64-bit compare masks are
+    /// narrowed to the two low `i32` lanes (-1 per set mask).
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    pub(super) fn round2(v: __m128d) -> __m128i {
+        let t = _mm_cvttpd_epi32(v);
+        let f = _mm_sub_pd(v, _mm_cvtepi32_pd(t));
+        let up = _mm_castpd_si128(_mm_cmpge_pd(f, _mm_set1_pd(0.5)));
+        let down = _mm_castpd_si128(_mm_cmple_pd(f, _mm_set1_pd(-0.5)));
+        let up = _mm_shuffle_epi32::<0b10_00_10_00>(up);
+        let down = _mm_shuffle_epi32::<0b10_00_10_00>(down);
+        _mm_add_epi32(_mm_sub_epi32(t, up), down)
+    }
+
+    /// `min(max(v, 0), hi)` on four `i32` lanes with SSE2 compares.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn clamp4(v: __m128i, hi: __m128i) -> __m128i {
+        let v = _mm_andnot_si128(_mm_srai_epi32::<31>(v), v);
+        let over = _mm_cmpgt_epi32(v, hi);
+        _mm_or_si128(_mm_and_si128(over, hi), _mm_andnot_si128(over, v))
+    }
+
+    /// SSE2 BRIEF bits, two pairs per step.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "sse2")]
+    pub(super) fn brief_words_sse2(
+        data: &[u8],
+        w: usize,
+        h: usize,
+        pat: &Pattern,
+        cx: f64,
+        cy: f64,
+        sin: f64,
+        cos: f64,
+    ) -> [u64; 4] {
+        let (cxv, cyv) = (_mm_set1_pd(cx), _mm_set1_pd(cy));
+        let (sv, cv) = (_mm_set1_pd(sin), _mm_set1_pd(cos));
+        let xmax = _mm_set1_epi32(w as i32 - 1);
+        let ymax = _mm_set1_epi32(h as i32 - 1);
+        let mut words = [0u64; 4];
+        let (mut xs, mut ys) = ([0i32; 4], [0i32; 4]);
+        for i in (0..BITS).step_by(2) {
+            // SAFETY: `i + 2 ≤ BITS`.
+            let (x1, y1, x2, y2) = unsafe {
+                (
+                    _mm_loadu_pd(pat.x1.as_ptr().add(i)),
+                    _mm_loadu_pd(pat.y1.as_ptr().add(i)),
+                    _mm_loadu_pd(pat.x2.as_ptr().add(i)),
+                    _mm_loadu_pd(pat.y2.as_ptr().add(i)),
+                )
+            };
+            let r1x = _mm_sub_pd(_mm_add_pd(cxv, _mm_mul_pd(x1, cv)), _mm_mul_pd(y1, sv));
+            let r1y = _mm_add_pd(_mm_add_pd(cyv, _mm_mul_pd(x1, sv)), _mm_mul_pd(y1, cv));
+            let r2x = _mm_sub_pd(_mm_add_pd(cxv, _mm_mul_pd(x2, cv)), _mm_mul_pd(y2, sv));
+            let r2y = _mm_add_pd(_mm_add_pd(cyv, _mm_mul_pd(x2, sv)), _mm_mul_pd(y2, cv));
+            let ix = clamp4(_mm_unpacklo_epi64(round2(r1x), round2(r2x)), xmax);
+            let iy = clamp4(_mm_unpacklo_epi64(round2(r1y), round2(r2y)), ymax);
+            // SAFETY: four `i32`s each, one 128-bit store.
+            unsafe {
+                _mm_storeu_si128(xs.as_mut_ptr().cast(), ix);
+                _mm_storeu_si128(ys.as_mut_ptr().cast(), iy);
+            }
+            let mut pair = 0u64;
+            for j in 0..2 {
+                let a = data[ys[j] as usize * w + xs[j] as usize];
+                let b = data[ys[2 + j] as usize * w + xs[2 + j] as usize];
+                pair |= ((a < b) as u64) << j;
+            }
+            words[i / 64] |= pair << (i % 64);
+        }
+        words
+    }
+
+    /// The 256 BRIEF test bits of one keypoint, four pairs per step.
+    /// Each lane computes `(cx + x·cos) − y·sin` and `(cy + x·sin) +
+    /// y·cos` with separate multiplies and adds, exactly as the scalar
+    /// oracle does; samples clamp to the image in the integer domain.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) fn brief_words(
+        data: &[u8],
+        w: usize,
+        h: usize,
+        pat: &Pattern,
+        cx: f64,
+        cy: f64,
+        sin: f64,
+        cos: f64,
+    ) -> [u64; 4] {
+        let (cxv, cyv) = (_mm256_set1_pd(cx), _mm256_set1_pd(cy));
+        let (sv, cv) = (_mm256_set1_pd(sin), _mm256_set1_pd(cos));
+        let zero = _mm256_setzero_si256();
+        let xmax = _mm256_set1_epi32(w as i32 - 1);
+        let ymax = _mm256_set1_epi32(h as i32 - 1);
+        let wv = _mm256_set1_epi32(w as i32);
+        let mut words = [0u64; 4];
+        let mut idx = [0i32; 8];
+        for i in (0..BITS).step_by(4) {
+            // SAFETY: `i + 4 ≤ BITS`, the length of every pattern array.
+            let (x1, y1, x2, y2) = unsafe {
+                (
+                    _mm256_loadu_pd(pat.x1.as_ptr().add(i)),
+                    _mm256_loadu_pd(pat.y1.as_ptr().add(i)),
+                    _mm256_loadu_pd(pat.x2.as_ptr().add(i)),
+                    _mm256_loadu_pd(pat.y2.as_ptr().add(i)),
+                )
+            };
+            let r1x = _mm256_sub_pd(
+                _mm256_add_pd(cxv, _mm256_mul_pd(x1, cv)),
+                _mm256_mul_pd(y1, sv),
+            );
+            let r1y = _mm256_add_pd(
+                _mm256_add_pd(cyv, _mm256_mul_pd(x1, sv)),
+                _mm256_mul_pd(y1, cv),
+            );
+            let r2x = _mm256_sub_pd(
+                _mm256_add_pd(cxv, _mm256_mul_pd(x2, cv)),
+                _mm256_mul_pd(y2, sv),
+            );
+            let r2y = _mm256_add_pd(
+                _mm256_add_pd(cyv, _mm256_mul_pd(x2, sv)),
+                _mm256_mul_pd(y2, cv),
+            );
+            // Lanes 0–3 hold the first sample of pairs i..i+4, lanes 4–7
+            // the second.
+            let ix = _mm256_set_m128i(round4(r2x), round4(r1x));
+            let iy = _mm256_set_m128i(round4(r2y), round4(r1y));
+            let ix = _mm256_min_epi32(_mm256_max_epi32(ix, zero), xmax);
+            let iy = _mm256_min_epi32(_mm256_max_epi32(iy, zero), ymax);
+            let lin = _mm256_add_epi32(_mm256_mullo_epi32(iy, wv), ix);
+            // SAFETY: `idx` is eight `i32`s, one 256-bit store.
+            unsafe { _mm256_storeu_si256(idx.as_mut_ptr().cast(), lin) };
+            let mut nibble = 0u64;
+            for j in 0..4 {
+                let (a, b) = (data[idx[j] as usize], data[idx[4 + j] as usize]);
+                nibble |= ((a < b) as u64) << j;
+            }
+            words[i / 64] |= nibble << (i % 64);
+        }
+        words
+    }
+}
+
+/// Sse2 BRIEF bits for one keypoint: the two-lane twin of
+/// [`brief_words_avx2`], with the same contract.
+///
+/// # Panics
+///
+/// Panics on an empty image.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn brief_words_sse2(
+    img: &vs_image::GrayImage,
+    pat: &crate::brief::Pattern,
+    cx: f64,
+    cy: f64,
+    sin: f64,
+    cos: f64,
+) -> [u64; 4] {
+    assert!(!img.is_empty(), "brief_words_sse2 on empty image");
+    let (w, h) = (img.width(), img.height());
+    // SAFETY: SSE2 is baseline x86-64.
+    unsafe { x86::brief_words_sse2(img.as_bytes(), w, h, pat, cx, cy, sin, cos) }
+}
+
+/// Avx2 BRIEF bits for one keypoint (see `brief::describe_into_level`
+/// for when it is taken; the result equals the scalar oracle's whenever
+/// `sin`/`cos` are finite and `|cx|, |cy| < 1e9`). Every sample is
+/// clamped into the image before it is read (an out-of-range or NaN
+/// conversion yields `i32::MIN`, which clamps to 0), and the reads are
+/// bounds-checked besides.
+///
+/// # Panics
+///
+/// Panics on an empty image or a host without AVX2.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn brief_words_avx2(
+    img: &vs_image::GrayImage,
+    pat: &crate::brief::Pattern,
+    cx: f64,
+    cy: f64,
+    sin: f64,
+    cos: f64,
+) -> [u64; 4] {
+    assert!(!img.is_empty(), "brief_words_avx2 on empty image");
+    assert!(
+        vs_image::SimdLevel::Avx2.available(),
+        "brief_words_avx2 requires AVX2"
+    );
+    let (w, h) = (img.width(), img.height());
+    // SAFETY: AVX2 availability is asserted above. (`w·h ≤ MAX_PIXELS
+    // < 2^31`, so the i32 index math cannot wrap either.)
+    unsafe { x86::brief_words(img.as_bytes(), w, h, pat, cx, cy, sin, cos) }
 }
 
 /// How many centres one quick-scan step covers.
@@ -299,6 +516,46 @@ mod tests {
                 "trial {trial}: c={c} t={t} ring={ring:?}"
             );
             assert_eq!(pa, pb, "trial {trial} prereject");
+        }
+    }
+
+    /// The vector roundings equal `f64::round` (half away from zero) on
+    /// both signs of every tie below 2^10, their neighbours, and random
+    /// values below 2^31 — including negative ties, which the clamp to
+    /// the image would otherwise hide.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_rounding_matches_libm_round() {
+        use std::arch::x86_64::*;
+        let mut vals = Vec::new();
+        for k in -1024i64..1024 {
+            let t = k as f64 + 0.5;
+            vals.extend([t, t.next_up(), t.next_down(), k as f64]);
+        }
+        let mut rng = vs_rng::SplitMix64::new(0x0D2);
+        vals.extend((0..40_000).map(|_| (rng.next_u64() as f64 / u64::MAX as f64 - 0.5) * 4e9));
+        vals.extend([0.0, -0.0, 1e9 + 0.5, -1e9 - 0.5]);
+        while vals.len() % 4 != 0 {
+            vals.push(0.5);
+        }
+        for c in vals.chunks_exact(4) {
+            let want: Vec<i32> = c.iter().map(|v| v.round() as i32).collect();
+            let mut two = [0i32; 4];
+            // SAFETY: SSE2 is baseline x86-64; `two` is four i32s.
+            unsafe {
+                let r = x86::round2(_mm_loadu_pd(c.as_ptr()));
+                _mm_storeu_si128(two.as_mut_ptr().cast(), r);
+            }
+            assert_eq!(two[..2], want[..2], "sse2 {:?}", &c[..2]);
+            if vs_image::SimdLevel::Avx2.available() {
+                let mut four = [0i32; 4];
+                // SAFETY: AVX2 is available; `c` and `four` hold four lanes.
+                unsafe {
+                    let r = x86::round4(_mm256_loadu_pd(c.as_ptr()));
+                    _mm_storeu_si128(four.as_mut_ptr().cast(), r);
+                }
+                assert_eq!(four[..], want[..], "avx2 {c:?}");
+            }
         }
     }
 

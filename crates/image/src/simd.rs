@@ -1,7 +1,9 @@
-//! Explicit SSE2/AVX2 kernels for the separable blur and the pyramid
-//! downsample — the only `unsafe` code in the image crate (and, with
-//! the sibling `simd.rs` modules, in the whole workspace outside the
-//! bench allocator probes).
+//! Explicit AVX2 kernels for the separable blur and SSE2/AVX2 kernels
+//! for the pyramid downsample — the only `unsafe` code in the image
+//! crate (and, with the sibling `simd.rs` modules, in the whole
+//! workspace outside the bench allocator probes). There is no SSE2
+//! blur: 16-lane rows measured 0.88–0.99× of the portable SWAR pass, so
+//! the Sse2 dispatch level runs SWAR for the blur.
 //!
 //! Both kernels are pure integer pipelines with no fault taps, so the
 //! vector paths are usable unconditionally — inside and outside
@@ -76,23 +78,10 @@ mod x86 {
     use super::{dpix, hpix_clamped, vpix, HALF5, SHIFT5};
     use std::arch::x86_64::*;
 
-    /// `(half + a + 4b + 6c + 4d + e) >> 4` on eight u16 lanes. Max lane
-    /// value before the shift is `255·16 + 8 = 4088 < 2¹⁵`: no wrap, no
-    /// sign issues, and after the shift every lane is ≤ 255 so the
-    /// caller's `packus` saturation is a no-op.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn wsum16(a: __m128i, b: __m128i, c: __m128i, d: __m128i, e: __m128i) -> __m128i {
-        let bd4 = _mm_slli_epi16(_mm_add_epi16(b, d), 2);
-        let c6 = _mm_add_epi16(_mm_slli_epi16(c, 2), _mm_slli_epi16(c, 1));
-        let s = _mm_add_epi16(_mm_add_epi16(a, e), _mm_add_epi16(bd4, c6));
-        _mm_srli_epi16(
-            _mm_add_epi16(s, _mm_set1_epi16(HALF5 as i16)),
-            SHIFT5 as i32,
-        )
-    }
-
-    /// AVX2 twin of [`wsum16`] on sixteen u16 lanes.
+    /// `(half + a + 4b + 6c + 4d + e) >> 4` on sixteen u16 lanes. Max
+    /// lane value before the shift is `255·16 + 8 = 4088 < 2¹⁵`: no
+    /// wrap, no sign issues, and after the shift every lane is ≤ 255 so
+    /// the caller's `packus` saturation is a no-op.
     #[inline]
     #[target_feature(enable = "avx2")]
     fn wsum16_avx2(a: __m256i, b: __m256i, c: __m256i, d: __m256i, e: __m256i) -> __m256i {
@@ -105,60 +94,10 @@ mod x86 {
         )
     }
 
-    /// Horizontal 5-tap pass over one row, 16 pixels per iteration.
-    ///
-    /// Lane order: `unpacklo`/`unpackhi` split bytes 0–7 / 8–15 into u16
-    /// lanes and `packus(lo, hi)` reassembles them in the same order, so
-    /// output byte `x + i` is the window sum at `x + i` exactly.
-    #[target_feature(enable = "sse2")]
-    pub(super) fn hrow_sse2(src: &[u8], dst: &mut [u8]) {
-        let w = src.len();
-        debug_assert_eq!(dst.len(), w);
-        let mut x = 0usize;
-        if w >= 20 {
-            dst[0] = hpix_clamped(src, 0);
-            dst[1] = hpix_clamped(src, 1);
-            x = 2;
-            let zero = _mm_setzero_si128();
-            while x + 18 <= w {
-                // SAFETY: the five loads cover src[x-2 ..= x+17]; x ≥ 2
-                // and x + 18 ≤ w keep every byte in bounds, and the
-                // store covers dst[x .. x+16] ⊆ dst[..w].
-                unsafe {
-                    let p = src.as_ptr();
-                    let a = _mm_loadu_si128(p.add(x - 2).cast());
-                    let b = _mm_loadu_si128(p.add(x - 1).cast());
-                    let c = _mm_loadu_si128(p.add(x).cast());
-                    let d = _mm_loadu_si128(p.add(x + 1).cast());
-                    let e = _mm_loadu_si128(p.add(x + 2).cast());
-                    let lo = wsum16(
-                        _mm_unpacklo_epi8(a, zero),
-                        _mm_unpacklo_epi8(b, zero),
-                        _mm_unpacklo_epi8(c, zero),
-                        _mm_unpacklo_epi8(d, zero),
-                        _mm_unpacklo_epi8(e, zero),
-                    );
-                    let hi = wsum16(
-                        _mm_unpackhi_epi8(a, zero),
-                        _mm_unpackhi_epi8(b, zero),
-                        _mm_unpackhi_epi8(c, zero),
-                        _mm_unpackhi_epi8(d, zero),
-                        _mm_unpackhi_epi8(e, zero),
-                    );
-                    _mm_storeu_si128(dst.as_mut_ptr().add(x).cast(), _mm_packus_epi16(lo, hi));
-                }
-                x += 16;
-            }
-        }
-        while x < w {
-            dst[x] = hpix_clamped(src, x);
-            x += 1;
-        }
-    }
-
-    /// AVX2 horizontal pass, 32 pixels per iteration. The 256-bit
-    /// `unpack`/`packus` pairs are both lane-local and complementary, so
-    /// byte order is preserved end to end with no cross-lane permute.
+    /// Horizontal 5-tap pass over one row, 32 pixels per iteration.
+    /// The 256-bit `unpack`/`packus` pairs are both lane-local and
+    /// complementary, so output byte `x + i` is the window sum at
+    /// `x + i` exactly, with no cross-lane permute.
     #[target_feature(enable = "avx2")]
     pub(super) fn hrow_avx2(src: &[u8], dst: &mut [u8]) {
         let w = src.len();
@@ -209,50 +148,7 @@ mod x86 {
     }
 
     /// Vertical 5-tap pass for one output row from five pre-clamped
-    /// source rows, 16 pixels per iteration.
-    #[target_feature(enable = "sse2")]
-    pub(super) fn vrow_sse2(rows: &[&[u8]; 5], dst: &mut [u8]) {
-        let w = dst.len();
-        debug_assert!(rows.iter().all(|r| r.len() == w));
-        let zero = _mm_setzero_si128();
-        let mut x = 0usize;
-        while x + 16 <= w {
-            // SAFETY: each load reads rows[i][x .. x+16] and the store
-            // writes dst[x .. x+16]; x + 16 ≤ w bounds both, and every
-            // row slice has length w (asserted above).
-            unsafe {
-                let v: [__m128i; 5] = [
-                    _mm_loadu_si128(rows[0].as_ptr().add(x).cast()),
-                    _mm_loadu_si128(rows[1].as_ptr().add(x).cast()),
-                    _mm_loadu_si128(rows[2].as_ptr().add(x).cast()),
-                    _mm_loadu_si128(rows[3].as_ptr().add(x).cast()),
-                    _mm_loadu_si128(rows[4].as_ptr().add(x).cast()),
-                ];
-                let lo = wsum16(
-                    _mm_unpacklo_epi8(v[0], zero),
-                    _mm_unpacklo_epi8(v[1], zero),
-                    _mm_unpacklo_epi8(v[2], zero),
-                    _mm_unpacklo_epi8(v[3], zero),
-                    _mm_unpacklo_epi8(v[4], zero),
-                );
-                let hi = wsum16(
-                    _mm_unpackhi_epi8(v[0], zero),
-                    _mm_unpackhi_epi8(v[1], zero),
-                    _mm_unpackhi_epi8(v[2], zero),
-                    _mm_unpackhi_epi8(v[3], zero),
-                    _mm_unpackhi_epi8(v[4], zero),
-                );
-                _mm_storeu_si128(dst.as_mut_ptr().add(x).cast(), _mm_packus_epi16(lo, hi));
-            }
-            x += 16;
-        }
-        while x < w {
-            dst[x] = vpix(rows, x);
-            x += 1;
-        }
-    }
-
-    /// AVX2 vertical pass, 32 pixels per iteration.
+    /// source rows, 32 pixels per iteration.
     #[target_feature(enable = "avx2")]
     pub(super) fn vrow_avx2(rows: &[&[u8]; 5], dst: &mut [u8]) {
         let w = dst.len();
@@ -388,46 +284,39 @@ mod x86 {
     }
 }
 
-/// Which vector row kernels to run inside this module.
+/// Which vector downsample row kernel to run.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Width {
     Sse2,
     Avx2,
 }
 
-/// Run one horizontal blur row at the requested width.
-fn hrow(src: &[u8], dst: &mut [u8], width: Width) {
+/// Run one horizontal blur row with AVX2.
+fn hrow(src: &[u8], dst: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: SSE2 is part of baseline x86-64; Width::Avx2 is only
-    // constructed behind an `is_x86_feature_detected!("avx2")` check.
+    // SAFETY: every caller runs this only on a host with AVX2:
+    // `blur5x5_avx2` asserts it, and `hrow_dispatch` only at the Avx2
+    // dispatch level, which `dispatch::level` verifies is available.
     unsafe {
-        match width {
-            Width::Sse2 => x86::hrow_sse2(src, dst),
-            Width::Avx2 => x86::hrow_avx2(src, dst),
-        }
+        x86::hrow_avx2(src, dst)
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = width;
         for x in 0..src.len() {
             dst[x] = hpix_clamped(src, x);
         }
     }
 }
 
-/// Run one vertical blur row at the requested width.
-fn vrow(rows: &[&[u8]; 5], dst: &mut [u8], width: Width) {
+/// Run one vertical blur row with AVX2.
+fn vrow(rows: &[&[u8]; 5], dst: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: as in [`hrow`].
     unsafe {
-        match width {
-            Width::Sse2 => x86::vrow_sse2(rows, dst),
-            Width::Avx2 => x86::vrow_avx2(rows, dst),
-        }
+        x86::vrow_avx2(rows, dst)
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = width;
         for x in 0..dst.len() {
             dst[x] = vpix(rows, x);
         }
@@ -453,7 +342,18 @@ fn drow(row0: &[u8], row1: &[u8], dst: &mut [u8], width: Width) {
     }
 }
 
-fn blur5x5_width(img: &GrayImage, tmp: &mut GrayImage, out: &mut GrayImage, width: Width) -> bool {
+/// AVX2 [`crate::gaussian_blur_5x5_into`]: bit-identical output and
+/// buffer contract, vectorized rows with a cache-tiled pass structure.
+///
+/// # Panics
+///
+/// Panics when the host lacks AVX2 — callers dispatch through
+/// [`crate::dispatch::level`], which never selects an unavailable level.
+pub fn blur5x5_avx2(img: &GrayImage, tmp: &mut GrayImage, out: &mut GrayImage) -> bool {
+    assert!(
+        crate::dispatch::SimdLevel::Avx2.available(),
+        "blur5x5_avx2 requires AVX2"
+    );
     let (w, h) = (img.width(), img.height());
     let mut grew = tmp
         .try_reset(w, h)
@@ -479,7 +379,7 @@ fn blur5x5_width(img: &GrayImage, tmp: &mut GrayImage, out: &mut GrayImage, widt
                 &src[next_h * w..next_h * w + w],
                 &mut tmp_bytes[next_h * w..next_h * w + w],
             );
-            hrow(s, t, width);
+            hrow(s, t);
             next_h += 1;
         }
         let t: &[u8] = tmp_bytes;
@@ -487,7 +387,7 @@ fn blur5x5_width(img: &GrayImage, tmp: &mut GrayImage, out: &mut GrayImage, widt
             let yc = (y as isize + i as isize - 2).clamp(0, h as isize - 1) as usize;
             &t[yc * w..yc * w + w]
         });
-        vrow(&rows, &mut dst[y * w..y * w + w], width);
+        vrow(&rows, &mut dst[y * w..y * w + w]);
     }
     grew
 }
@@ -510,26 +410,6 @@ fn downsample_width(img: &GrayImage, out: &mut GrayImage, width: Width) -> bool 
         drow(row0, row1, dst_row, width);
     }
     grew
-}
-
-/// SSE2 [`crate::gaussian_blur_5x5_into`]: bit-identical output and
-/// buffer contract, vectorized rows with a cache-tiled pass structure.
-pub fn blur5x5_sse2(img: &GrayImage, tmp: &mut GrayImage, out: &mut GrayImage) -> bool {
-    blur5x5_width(img, tmp, out, Width::Sse2)
-}
-
-/// AVX2 [`crate::gaussian_blur_5x5_into`].
-///
-/// # Panics
-///
-/// Panics when the host lacks AVX2 — callers dispatch through
-/// [`crate::dispatch::level`], which never selects an unavailable level.
-pub fn blur5x5_avx2(img: &GrayImage, tmp: &mut GrayImage, out: &mut GrayImage) -> bool {
-    assert!(
-        crate::dispatch::SimdLevel::Avx2.available(),
-        "blur5x5_avx2 requires AVX2"
-    );
-    blur5x5_width(img, tmp, out, Width::Avx2)
 }
 
 /// SSE2 [`crate::downsample_half_into`]: bit-identical output.
@@ -555,8 +435,7 @@ pub fn downsample_half_avx2(img: &GrayImage, out: &mut GrayImage) -> bool {
 /// back to the identical-output scalar rows elsewhere).
 pub(crate) fn hrow_dispatch(src: &[u8], dst: &mut [u8]) {
     match crate::dispatch::level() {
-        crate::dispatch::SimdLevel::Avx2 => hrow(src, dst, Width::Avx2),
-        crate::dispatch::SimdLevel::Sse2 => hrow(src, dst, Width::Sse2),
+        crate::dispatch::SimdLevel::Avx2 => hrow(src, dst),
         _ => {
             for (x, d) in dst.iter_mut().enumerate().take(src.len()) {
                 *d = hpix_clamped(src, x);
@@ -568,8 +447,7 @@ pub(crate) fn hrow_dispatch(src: &[u8], dst: &mut [u8]) {
 /// One vertical row at the process dispatch level.
 pub(crate) fn vrow_dispatch(rows: &[&[u8]; 5], dst: &mut [u8]) {
     match crate::dispatch::level() {
-        crate::dispatch::SimdLevel::Avx2 => vrow(rows, dst, Width::Avx2),
-        crate::dispatch::SimdLevel::Sse2 => vrow(rows, dst, Width::Sse2),
+        crate::dispatch::SimdLevel::Avx2 => vrow(rows, dst),
         _ => {
             for (x, d) in dst.iter_mut().enumerate() {
                 *d = vpix(rows, x);
@@ -614,9 +492,6 @@ mod tests {
         for &(w, h) in sizes {
             let img = random_image(&mut rng, w, h);
             gaussian_blur_5x5_into_swar(&img, &mut ta, &mut oa);
-            blur5x5_sse2(&img, &mut tb, &mut ob);
-            assert_eq!(oa, ob, "sse2 blur {w}x{h}");
-            assert_eq!(ta, tb, "sse2 blur tmp plane {w}x{h}");
             if SimdLevel::Avx2.available() {
                 blur5x5_avx2(&img, &mut tb, &mut ob);
                 assert_eq!(oa, ob, "avx2 blur {w}x{h}");
@@ -661,19 +536,17 @@ mod tests {
     /// match the scalar clamped window at every x.
     #[test]
     fn hrow_exhaustive_value_sweep() {
+        if !SimdLevel::Avx2.available() {
+            return;
+        }
         // 256 values × shifted starts cover all lane alignments.
         for shift in 0..4usize {
             let w = 256 + shift;
             let src: Vec<u8> = (0..w).map(|i| (i * 37 + shift * 11) as u8).collect();
             let mut dst = vec![0u8; w];
-            hrow(&src, &mut dst, Width::Sse2);
+            hrow(&src, &mut dst);
             for (x, d) in dst.iter().enumerate() {
-                assert_eq!(*d, hpix_clamped(&src, x), "sse2 x={x} shift={shift}");
-            }
-            if SimdLevel::Avx2.available() {
-                let mut dst2 = vec![0u8; w];
-                hrow(&src, &mut dst2, Width::Avx2);
-                assert_eq!(dst, dst2, "avx2 shift={shift}");
+                assert_eq!(*d, hpix_clamped(&src, x), "avx2 x={x} shift={shift}");
             }
         }
     }

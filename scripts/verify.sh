@@ -71,23 +71,26 @@ grep -q '"outcomes_identical": true' /tmp/BENCH3_smoke.json || {
 }
 rm -f /tmp/BENCH3_smoke.json
 
-echo "== simd dispatch smoke: simd_check under VS_SIMD=scalar/swar/auto =="
+echo "== simd dispatch smoke: simd_check under VS_SIMD=scalar/swar/sse2/auto =="
 # The record stream of a fault campaign (and the plain panorama output)
 # must be byte-identical whichever kernel implementation the runtime
-# dispatcher picks. simd_check prints one digest per phase; the three
-# dispatch levels must agree line for line.
+# dispatcher picks. simd_check prints one digest per phase; every
+# dispatch level must agree with scalar line for line. On an AVX2 host
+# `auto` is avx2, so x86-64 hosts diff sse2 explicitly as well.
+SIMD_LEVELS="swar auto"
+if [ "$(uname -m)" = "x86_64" ]; then
+    SIMD_LEVELS="swar sse2 auto"
+fi
 VS_SIMD=scalar ./target/release/simd_check 2>/dev/null > /tmp/simd_scalar.txt
-VS_SIMD=swar   ./target/release/simd_check 2>/dev/null > /tmp/simd_swar.txt
-VS_SIMD=auto   ./target/release/simd_check 2>/dev/null > /tmp/simd_auto.txt
-diff /tmp/simd_scalar.txt /tmp/simd_swar.txt || {
-    echo "error: VS_SIMD=swar records diverge from scalar" >&2
-    exit 1
-}
-diff /tmp/simd_scalar.txt /tmp/simd_auto.txt || {
-    echo "error: VS_SIMD=auto records diverge from scalar" >&2
-    exit 1
-}
-rm -f /tmp/simd_scalar.txt /tmp/simd_swar.txt /tmp/simd_auto.txt
+for lvl in $SIMD_LEVELS; do
+    VS_SIMD=$lvl ./target/release/simd_check 2>/dev/null > "/tmp/simd_$lvl.txt"
+    diff /tmp/simd_scalar.txt "/tmp/simd_$lvl.txt" || {
+        echo "error: VS_SIMD=$lvl records diverge from scalar" >&2
+        exit 1
+    }
+    rm -f "/tmp/simd_$lvl.txt"
+done
+rm -f /tmp/simd_scalar.txt
 
 echo "== hd smoke: kernel_bench --hd --smoke =="
 # Every dispatch level must reproduce the scalar oracle bit-for-bit on
