@@ -13,7 +13,6 @@
 //! for what each level does and which keypoints it takes).
 
 use crate::keypoint::KeyPoint;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use vs_fault::{mix64, tap, FuncId, OpClass, SimError};
 use vs_image::{GrayImage, SimdLevel};
@@ -145,45 +144,6 @@ const REACH: f64 = 12.0;
 /// an `i32`, and its fractional part is exact.
 const FAST_COORD_LIMIT: f64 = 1e9;
 
-/// Process-wide level pin for [`describe_into`]: 0 follows
-/// [`vs_image::dispatch::level`], `1 + i` pins `SimdLevel::ALL[i]`.
-static PINNED: AtomicU8 = AtomicU8::new(0);
-
-/// Pin the level [`describe_into`] dispatches to for the whole process,
-/// or follow [`vs_image::dispatch::level`] again with `None`. Unlike
-/// `VS_SIMD`, which moves every kernel, this moves BRIEF alone: the
-/// cross-level campaign tests use it to run whole pipelines with only
-/// BRIEF switched. Every level is bit-exact, so a pin changes speed,
-/// never results.
-///
-/// # Panics
-///
-/// Panics when `level` cannot run on this host.
-pub fn pin_level(level: Option<SimdLevel>) {
-    let code = match level {
-        None => 0,
-        Some(l) => {
-            assert!(
-                l.available(),
-                "BRIEF level {l} is not available on this host"
-            );
-            let i = SimdLevel::ALL.iter().position(|&a| a == l);
-            1 + i.expect("SimdLevel::ALL lists every level") as u8
-        }
-    };
-    // Relaxed: the code publishes no other data.
-    PINNED.store(code, Ordering::Relaxed);
-}
-
-/// The level [`describe_into`] runs at: the pin, else the process
-/// dispatch level.
-fn active_level() -> SimdLevel {
-    match PINNED.load(Ordering::Relaxed) {
-        0 => vs_image::dispatch::level(),
-        code => SimdLevel::ALL[(code - 1) as usize],
-    }
-}
-
 /// Describe each keypoint with a rotation-steered BRIEF descriptor over
 /// the (pre-smoothed) image.
 ///
@@ -204,9 +164,9 @@ pub fn describe(smoothed: &GrayImage, keypoints: &[KeyPoint]) -> Result<Vec<Desc
 }
 
 /// [`describe`] into a caller-owned vector (cleared first), reusing its
-/// allocation, at the level set by [`pin_level`], else the process
-/// dispatch level. Tap stream and descriptors are bit-identical at
-/// every level.
+/// allocation, at the process dispatch level
+/// ([`vs_image::dispatch::level`], which `VS_SIMD` pins). Tap stream
+/// and descriptors are bit-identical at every level.
 ///
 /// # Errors
 ///
@@ -216,7 +176,7 @@ pub fn describe_into(
     keypoints: &[KeyPoint],
     out: &mut Vec<Descriptor>,
 ) -> Result<(), SimError> {
-    describe_into_level(smoothed, keypoints, out, active_level())
+    describe_into_level(smoothed, keypoints, out, vs_image::dispatch::level())
 }
 
 /// [`describe_into`] at an explicit [`SimdLevel`].
@@ -794,20 +754,5 @@ mod tests {
         for v in vals {
             assert_eq!(round_half_away(v), v.round() as i64, "v = {v:?}");
         }
-    }
-
-    /// The pin moves `describe_into` alone and is reversible.
-    #[test]
-    fn pin_selects_the_active_level() {
-        let img = gaussian_blur_5x5(&textured(3, 64, 48));
-        let kps = [kp(30, 20, 0.3), kp(2, 40, -1.1)];
-        let want = describe(&img, &kps).unwrap();
-        for level in SimdLevel::ALL.into_iter().filter(|l| l.available()) {
-            pin_level(Some(level));
-            assert_eq!(active_level(), level);
-            assert_eq!(describe(&img, &kps).unwrap(), want, "pinned {level}");
-        }
-        pin_level(None);
-        assert_eq!(active_level(), vs_image::dispatch::level());
     }
 }

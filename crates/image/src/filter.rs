@@ -109,76 +109,97 @@ fn separable_blur_fixed_into<const N: usize>(
     if img.is_empty() {
         return grew;
     }
-    let r = N / 2;
-    let half = 1u16 << (shift - 1);
     let src = img.as_bytes();
-    // Horizontal pass: clamped accumulation on the border columns,
-    // branch-free windowed reads in the interior.
-    {
-        let dst = tmp.as_bytes_mut();
-        for y in 0..h {
-            let row = &src[y * w..y * w + w];
-            let trow = &mut dst[y * w..y * w + w];
-            let clamped_at = |x: usize, i: usize| {
-                let xi = x as isize + i as isize - r as isize;
-                row[xi.clamp(0, w as isize - 1) as usize] as u16
-            };
-            if w > 2 * r {
-                for (x, t) in trow.iter_mut().enumerate().take(r) {
-                    let mut s = half;
-                    for (i, &k) in weights.iter().enumerate() {
-                        s += k * clamped_at(x, i);
-                    }
-                    *t = (s >> shift) as u8;
-                }
-                for x in r..w - r {
-                    let win = &row[x - r..x + r + 1];
-                    let mut s = half;
-                    for (i, &k) in weights.iter().enumerate() {
-                        s += k * win[i] as u16;
-                    }
-                    trow[x] = (s >> shift) as u8;
-                }
-                for (x, t) in trow.iter_mut().enumerate().skip(w - r) {
-                    let mut s = half;
-                    for (i, &k) in weights.iter().enumerate() {
-                        s += k * clamped_at(x, i);
-                    }
-                    *t = (s >> shift) as u8;
-                }
-            } else {
-                for (x, t) in trow.iter_mut().enumerate() {
-                    let mut s = half;
-                    for (i, &k) in weights.iter().enumerate() {
-                        s += k * clamped_at(x, i);
-                    }
-                    *t = (s >> shift) as u8;
-                }
-            }
-        }
+    // Horizontal pass, one row at a time.
+    let dst = tmp.as_bytes_mut();
+    for y in 0..h {
+        hrow_fixed(
+            &src[y * w..y * w + w],
+            &mut dst[y * w..y * w + w],
+            weights,
+            shift,
+        );
     }
-    // Vertical pass: N row slices with clamped indices per output row,
-    // then a branch-free column sweep the compiler can vectorize.
-    {
-        let t = tmp.as_bytes();
-        let dst = out.as_bytes_mut();
-        for y in 0..h {
-            let rows: [&[u8]; N] = std::array::from_fn(|i| {
-                let yi = y as isize + i as isize - r as isize;
-                let yc = yi.clamp(0, h as isize - 1) as usize;
-                &t[yc * w..yc * w + w]
-            });
-            let orow = &mut dst[y * w..y * w + w];
-            for (x, o) in orow.iter_mut().enumerate() {
-                let mut s = half;
-                for (i, &k) in weights.iter().enumerate() {
-                    s += k * rows[i][x] as u16;
-                }
-                *o = (s >> shift) as u8;
-            }
-        }
+    // Vertical pass: N row slices with clamped indices per output row.
+    let t = tmp.as_bytes();
+    let dst = out.as_bytes_mut();
+    for y in 0..h {
+        let rows: [&[u8]; N] = std::array::from_fn(|i| {
+            let yi = y as isize + i as isize - (N / 2) as isize;
+            let yc = yi.clamp(0, h as isize - 1) as usize;
+            &t[yc * w..yc * w + w]
+        });
+        vrow_fixed(&rows, &mut dst[y * w..y * w + w], weights, shift);
     }
     grew
+}
+
+/// One row of the fixed-point horizontal pass: clamped accumulation on
+/// the border columns, branch-free windowed reads in the interior.
+#[inline]
+fn hrow_fixed<const N: usize>(row: &[u8], trow: &mut [u8], weights: &[u16; N], shift: u32) {
+    let (w, r) = (row.len(), N / 2);
+    let half = 1u16 << (shift - 1);
+    let clamped_at = |x: usize, i: usize| {
+        let xi = x as isize + i as isize - r as isize;
+        row[xi.clamp(0, w as isize - 1) as usize] as u16
+    };
+    if w > 2 * r {
+        for (x, t) in trow.iter_mut().enumerate().take(r) {
+            let mut s = half;
+            for (i, &k) in weights.iter().enumerate() {
+                s += k * clamped_at(x, i);
+            }
+            *t = (s >> shift) as u8;
+        }
+        for x in r..w - r {
+            let win = &row[x - r..x + r + 1];
+            let mut s = half;
+            for (i, &k) in weights.iter().enumerate() {
+                s += k * win[i] as u16;
+            }
+            trow[x] = (s >> shift) as u8;
+        }
+        for (x, t) in trow.iter_mut().enumerate().skip(w - r) {
+            let mut s = half;
+            for (i, &k) in weights.iter().enumerate() {
+                s += k * clamped_at(x, i);
+            }
+            *t = (s >> shift) as u8;
+        }
+    } else {
+        for (x, t) in trow.iter_mut().enumerate() {
+            let mut s = half;
+            for (i, &k) in weights.iter().enumerate() {
+                s += k * clamped_at(x, i);
+            }
+            *t = (s >> shift) as u8;
+        }
+    }
+}
+
+/// One row of the fixed-point vertical pass over `N` pre-clamped rows:
+/// a branch-free column sweep the compiler can vectorize.
+#[inline]
+fn vrow_fixed<const N: usize>(rows: &[&[u8]; N], orow: &mut [u8], weights: &[u16; N], shift: u32) {
+    let half = 1u16 << (shift - 1);
+    for (x, o) in orow.iter_mut().enumerate() {
+        let mut s = half;
+        for (i, &k) in weights.iter().enumerate() {
+            s += k * rows[i][x] as u16;
+        }
+        *o = (s >> shift) as u8;
+    }
+}
+
+/// The SWAR 5×5 Gaussian horizontal pass over one row.
+pub(crate) fn blur5_hrow_swar(row: &[u8], trow: &mut [u8]) {
+    hrow_fixed(row, trow, &[1, 4, 6, 4, 1], 4);
+}
+
+/// The SWAR 5×5 Gaussian vertical pass over one row.
+pub(crate) fn blur5_vrow_swar(rows: &[&[u8]; 5], orow: &mut [u8]) {
+    vrow_fixed(rows, orow, &[1, 4, 6, 4, 1], 4);
 }
 
 /// 3×3 Gaussian blur (binomial [1 2 1]/4 kernel), replicate borders.

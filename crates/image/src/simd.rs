@@ -431,16 +431,12 @@ pub fn downsample_half_avx2(img: &GrayImage, out: &mut GrayImage) -> bool {
 }
 
 /// Dispatch-level row kernels for the band-parallel blur: one
-/// horizontal row at the process dispatch level (vector levels fall
-/// back to the identical-output scalar rows elsewhere).
+/// horizontal row at the process dispatch level. Below Avx2 the rows
+/// are the SWAR pass's, as in the single-threaded blur.
 pub(crate) fn hrow_dispatch(src: &[u8], dst: &mut [u8]) {
     match crate::dispatch::level() {
         crate::dispatch::SimdLevel::Avx2 => hrow(src, dst),
-        _ => {
-            for (x, d) in dst.iter_mut().enumerate().take(src.len()) {
-                *d = hpix_clamped(src, x);
-            }
-        }
+        _ => crate::filter::blur5_hrow_swar(src, dst),
     }
 }
 
@@ -448,11 +444,7 @@ pub(crate) fn hrow_dispatch(src: &[u8], dst: &mut [u8]) {
 pub(crate) fn vrow_dispatch(rows: &[&[u8]; 5], dst: &mut [u8]) {
     match crate::dispatch::level() {
         crate::dispatch::SimdLevel::Avx2 => vrow(rows, dst),
-        _ => {
-            for (x, d) in dst.iter_mut().enumerate() {
-                *d = vpix(rows, x);
-            }
-        }
+        _ => crate::filter::blur5_vrow_swar(rows, dst),
     }
 }
 
