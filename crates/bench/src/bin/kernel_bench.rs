@@ -52,8 +52,8 @@
 //! kernel is timed at each compiled dispatch level with the SWAR path
 //! as the interleaved reference side, after a fresh bit-exactness
 //! check against the scalar oracle. Rows whose batch coefficient of
-//! variation exceeds 20% are flagged `unstable`. Row-band parallel
-//! blur/warp rows are added only when the host has ≥ 2 cores, and an
+//! variation exceeds 20% are flagged `unstable`. A row-band parallel
+//! warp row is added only when the host has ≥ 2 cores, and an
 //! end-to-end checkpointed-campaign row anchors the kernel numbers to
 //! campaign throughput. `--check-simd` fails the process unless SSE2
 //! reaches ≥ 1.5× over SWAR on at least two of {fast_detect,
@@ -77,9 +77,8 @@ use vs_features::fast::{self, FastConfig, FastScratch};
 use vs_features::{brief, orientation, Descriptor, KeyPoint, OrbConfig};
 use vs_image::{
     downsample_half_into_level, downsample_half_into_scalar, downsample_half_into_swar,
-    gaussian_blur_5x5, gaussian_blur_5x5_into_bands, gaussian_blur_5x5_into_level,
-    gaussian_blur_5x5_into_scalar, gaussian_blur_5x5_into_swar, GrayImage, Pyramid, RgbImage,
-    SimdLevel,
+    gaussian_blur_5x5, gaussian_blur_5x5_into_level, gaussian_blur_5x5_into_scalar,
+    gaussian_blur_5x5_into_swar, GrayImage, Pyramid, RgbImage, SimdLevel,
 };
 use vs_linalg::{Mat3, Vec2};
 use vs_matching::{Match, RatioMatcher};
@@ -911,8 +910,8 @@ fn bench_hd(o: &BenchOpts) -> Vec<HdRow> {
     rows
 }
 
-/// Row-band parallel blur/warp rows: banded vs single-band dispatched
-/// kernels. Only meaningful with ≥ 2 host cores; skipped (with a note)
+/// Row-band parallel warp row: banded vs single-band dispatched
+/// kernel. Only meaningful with ≥ 2 host cores; skipped (with a note)
 /// otherwise, so the serial-host CI lane never measures fake
 /// parallelism.
 fn bench_hd_bands(o: &BenchOpts, host_cores: usize) -> (Vec<HdRow>, Option<String>) {
@@ -931,32 +930,7 @@ fn bench_hd_bands(o: &BenchOpts, host_cores: usize) -> (Vec<HdRow>, Option<Strin
             .with_frame_size(kw, kh),
     )
     .remove(0);
-    let gray = frame.to_gray();
     let mut rows = Vec::new();
-
-    {
-        let (mut tmp_o, mut out_o) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
-        let (mut tmp_s, mut out_s) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
-        let (mut tmp_b, mut out_b) = (GrayImage::new(0, 0), GrayImage::new(0, 0));
-        gaussian_blur_5x5_into_scalar(&gray, &mut tmp_o, &mut out_o);
-        gaussian_blur_5x5_into_level(&gray, &mut tmp_s, &mut out_s, level);
-        gaussian_blur_5x5_into_bands(&gray, &mut tmp_b, &mut out_b, bands);
-        let identical = out_s == out_o && out_b == out_o;
-        rows.push(run_hd_pair(
-            &format!("blur5x5_bands{bands}"),
-            &tier,
-            level,
-            "single_band",
-            o.budget,
-            identical,
-            || {
-                gaussian_blur_5x5_into_level(&gray, &mut tmp_s, &mut out_s, level);
-            },
-            || {
-                gaussian_blur_5x5_into_bands(&gray, &mut tmp_b, &mut out_b, bands);
-            },
-        ));
-    }
 
     {
         let h = Mat3::translation(10.0, 5.0) * Mat3::rotation(0.1);

@@ -124,64 +124,20 @@ pub fn run_adaptive_checkpointed<W: ScratchCheckpointed>(
 where
     W::Output: Clone,
 {
-    let g = &golden.golden;
-    let sites = g.profile.sites(cfg.class);
-    assert!(
-        sites > 0,
-        "no eligible {} taps recorded in the golden profile",
-        cfg.class
-    );
-    campaign::install_quiet_hook();
-    let budget = g
-        .profile
-        .instr
-        .total
-        .saturating_mul(cfg.hang_factor)
-        .saturating_add(1_000_000);
-
-    let max = cfg.injections;
-    let monitor = crate::telemetry::CampaignMonitor::new(
+    let driver = campaign::Driver::new(
+        campaign::Resumable(workload),
+        &golden.golden,
+        &golden.checkpoints,
         cfg,
-        sites,
-        golden.checkpoints.len(),
-        g.digests.is_some(),
     );
+    let max = cfg.injections;
     let mut records: Vec<Injection<W::Output>> = Vec::new();
     let mut curve = Vec::new();
     let mut converged = false;
     while records.len() < max {
         let start = records.len();
         let n_batch = acfg.batch.max(1).min(max - start);
-        let threads = cfg.threads.min(n_batch.max(1));
-        let batch = campaign::drive_with(
-            n_batch,
-            threads,
-            cfg.collection,
-            || workload.make_scratch(),
-            |j, scratch| {
-                let i = start + j;
-                let t_draw = vs_telemetry::metrics::start();
-                let spec = campaign::draw_spec(cfg, sites, i);
-                let usable = golden
-                    .checkpoints
-                    .partition_point(|c| W::tap_snapshot(c).eligible(cfg.class) <= spec.tap_index);
-                let ckpt = usable.checked_sub(1).map(|k| &golden.checkpoints[k]);
-                vs_telemetry::metrics::stop(campaign::phase::DRAW, t_draw);
-                let rec = campaign::run_one_from_scratch(
-                    workload,
-                    g,
-                    ckpt,
-                    spec,
-                    budget,
-                    cfg.keep_sdc_outputs,
-                    i,
-                    scratch,
-                );
-                monitor.record(&rec);
-                rec
-            },
-        );
-        records.extend(batch);
+        records.extend(driver.run(start..start + n_batch));
         curve.push(ConvergencePoint {
             n: records.len(),
             rates: outcome_rates(&records),
@@ -191,7 +147,7 @@ where
             break;
         }
     }
-    monitor.finish();
+    driver.finish();
     let rates = curve
         .last()
         .map_or_else(|| outcome_rates(&records), |p| p.rates);

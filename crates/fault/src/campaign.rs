@@ -17,14 +17,16 @@
 
 use crate::error::SimError;
 use crate::forensics::{self, Attribution, DigestTrace, ForensicsRecord, Stage};
-use crate::func::FuncMask;
+use crate::func::{FuncId, FuncMask, OpClass};
+use crate::pruning::SiteGroup;
 use crate::session::{self, InstrCounts, TapSnapshot};
 use crate::spec::{FaultSpec, FiredFault, RegClass, REG_BITS};
 use crate::{mix64, state};
-use std::any::Any;
+use std::convert::Infallible;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use vs_telemetry::metrics;
 
 /// Phase vocabulary of the campaign metrics instrumentation: every
@@ -50,12 +52,9 @@ pub mod phase {
     pub const CLASSIFY: &str = "classify";
     /// Campaign-monitor record (telemetry fan-out), per run.
     pub const RECORD: &str = "record";
-    /// Wait on the shared results mutex, one sample per worker
-    /// ([`super::Collection::SharedMutex`] only).
-    pub const LOCK_WAIT: &str = "lock_wait";
     /// Driver-side scatter of worker stripes into index order, one
-    /// sample per campaign ([`super::Collection::WorkerSlots`] only;
-    /// runs on the calling thread, so it is *not* worker time).
+    /// sample per campaign (runs on the calling thread, so it is *not*
+    /// worker time).
     pub const COLLECT: &str = "collect";
     /// Whole stripe wall time, one sample per worker — the attribution
     /// denominator.
@@ -68,7 +67,7 @@ pub mod phase {
     /// compares against [`WORKER_WALL`] for attribution coverage.
     /// [`RESTORE`] nests inside [`EXEC`] and [`COLLECT`] happens on the
     /// driver thread, so neither belongs here.
-    pub const TOP: &[&str] = &[DRAW, SETUP, EXEC, TEARDOWN, CLASSIFY, RECORD, LOCK_WAIT];
+    pub const TOP: &[&str] = &[DRAW, SETUP, EXEC, TEARDOWN, CLASSIFY, RECORD];
 }
 
 /// A fault-injectable program under study.
@@ -484,37 +483,6 @@ pub struct Injection<O> {
     pub forensics: Option<ForensicsRecord>,
 }
 
-/// How the parallel driver collects per-run records from its workers.
-///
-/// Both strategies produce bit-identical record lists (pinned by the
-/// `collection_strategies_are_outcome_identical` test); they differ
-/// only in what the workers synchronize on, which is exactly what the
-/// `scaling_report` tool measures when diagnosing the thread sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Collection {
-    /// Each worker returns its stripe through its join handle; the
-    /// driver scatters records into index order after the join. No
-    /// shared state anywhere on the worker path.
-    #[default]
-    WorkerSlots,
-    /// The legacy collector: one shared `Mutex<Vec<Option<T>>>` every
-    /// worker locks once at the end of its stripe. Retained (behind
-    /// this knob) so the before/after of the slots fix stays measurable
-    /// in one binary; the lock wait is attributed to
-    /// [`phase::LOCK_WAIT`].
-    SharedMutex,
-}
-
-impl Collection {
-    /// Short lowercase name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Collection::WorkerSlots => "worker_slots",
-            Collection::SharedMutex => "shared_mutex",
-        }
-    }
-}
-
 /// Campaign parameters. Construct with [`CampaignConfig::new`] and chain
 /// the builder methods.
 #[derive(Debug, Clone)]
@@ -526,7 +494,6 @@ pub struct CampaignConfig {
     pub(crate) hang_factor: u64,
     pub(crate) keep_sdc_outputs: bool,
     pub(crate) checkpoint_policy: CheckpointPolicy,
-    pub(crate) collection: Collection,
 }
 
 impl CampaignConfig {
@@ -540,7 +507,6 @@ impl CampaignConfig {
             hang_factor: 16,
             keep_sdc_outputs: true,
             checkpoint_policy: CheckpointPolicy::Off,
-            collection: Collection::default(),
         }
     }
 
@@ -580,15 +546,6 @@ impl CampaignConfig {
     /// the plain [`run_campaign`] always runs from scratch.
     pub fn checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint_policy = policy;
-        self
-    }
-
-    /// Result-collection strategy of the parallel driver (default
-    /// [`Collection::WorkerSlots`]). The legacy [`Collection::SharedMutex`]
-    /// exists for before/after contention measurement; outcomes are
-    /// identical either way.
-    pub fn collection(mut self, collection: Collection) -> Self {
-        self.collection = collection;
         self
     }
 
@@ -636,27 +593,6 @@ pub(crate) fn draw_spec(cfg: &CampaignConfig, sites: u64, index: usize) -> Fault
     FaultSpec::new(cfg.class, tap_index, bit)
 }
 
-/// Classify the raw result of an injected run against the golden output.
-fn classify<O: PartialEq>(
-    result: Result<Result<O, SimError>, Box<dyn Any + Send>>,
-    golden_output: &O,
-    keep_sdc: bool,
-) -> (Outcome, Option<O>) {
-    match result {
-        Err(_) => (Outcome::CrashSegfault, None),
-        Ok(Err(SimError::Segfault)) => (Outcome::CrashSegfault, None),
-        Ok(Err(SimError::Abort)) => (Outcome::CrashAbort, None),
-        Ok(Err(SimError::Hang)) => (Outcome::Hang, None),
-        Ok(Ok(out)) => {
-            if out == *golden_output {
-                (Outcome::Masked, None)
-            } else {
-                (Outcome::Sdc, keep_sdc.then_some(out))
-            }
-        }
-    }
-}
-
 /// Forensic payload for one classified run: only completed runs carry a
 /// meaningful end-of-run trace, so crash/hang outcomes get `None`.
 fn forensic_record(
@@ -675,139 +611,235 @@ fn forensic_record(
     }
 }
 
-/// Execute one injected run and classify its outcome.
-fn run_one<W: Workload>(
-    workload: &W,
-    golden: &GoldenRun<W::Output>,
-    spec: FaultSpec,
-    budget: u64,
-    keep_sdc: bool,
-    index: usize,
-) -> Injection<W::Output> {
-    let t_setup = metrics::start();
-    let recorder = golden.digests.is_some().then(forensics::begin_recording);
-    let guard = session::begin_injection(spec, golden.mask, budget);
-    metrics::stop(phase::SETUP, t_setup);
-    let t_exec = metrics::start();
-    state::with(|s| s.in_injection.set(true));
-    let result = panic::catch_unwind(AssertUnwindSafe(|| workload.run()));
-    state::with(|s| s.in_injection.set(false));
-    metrics::stop(phase::EXEC, t_exec);
-    let t_teardown = metrics::start();
-    let fired = session::report().fired;
-    drop(guard);
-    let trace = recorder.map(|r| {
-        let t = forensics::current_trace();
-        drop(r);
-        t
-    });
-    metrics::stop(phase::TEARDOWN, t_teardown);
-    let t_classify = metrics::start();
-    let (outcome, sdc_output) = classify(result, &golden.output, keep_sdc);
-    let forensics = forensic_record(golden.digests, trace, outcome);
-    metrics::stop(phase::CLASSIFY, t_classify);
-    Injection {
-        index,
-        spec,
-        fired,
-        outcome,
-        sdc_output,
-        forensics,
+/// Hang-monitor budget of an injected run: `factor` times the golden
+/// run's instruction count, plus a fixed floor so tiny runs still get
+/// room. Callers apply their own floor to `factor`.
+pub(crate) fn hang_budget(profile: &TapProfile, factor: u64) -> u64 {
+    profile
+        .instr
+        .total
+        .saturating_mul(factor)
+        .saturating_add(1_000_000)
+}
+
+/// What the run step executes: a workload bound to a per-worker
+/// workspace, run from scratch or resumed after a checkpoint, with its
+/// output read back from the workspace.
+pub(crate) trait Target: Sync {
+    /// The workload's output.
+    type Output: PartialEq + Send + Sync;
+    /// A resumable golden-prefix checkpoint.
+    type Ckpt: Sync;
+    /// The per-worker workspace.
+    type Scratch;
+
+    /// A cold workspace, made once per worker.
+    fn scratch(&self) -> Self::Scratch;
+    /// Tap counters at the checkpoint's boundary.
+    fn taps(ckpt: &Self::Ckpt) -> &TapSnapshot;
+    /// Forensic digest trace of the golden prefix up to the boundary.
+    fn digests(ckpt: &Self::Ckpt) -> DigestTrace;
+    /// Execute one run into `ws`, resuming after `from` when given.
+    fn exec(&self, from: Option<&Self::Ckpt>, ws: &mut Self::Scratch) -> Result<(), SimError>;
+    /// The output of the last successful [`Target::exec`] on `ws`.
+    fn output<'s>(&self, ws: &'s Self::Scratch) -> &'s Self::Output;
+    /// That output as an owned value, for a retained SDC.
+    fn keep(&self, ws: &mut Self::Scratch) -> Self::Output;
+}
+
+/// A plain [`Workload`] as a run target: no checkpoints, and the
+/// workspace holds the last run's output.
+pub(crate) struct Fresh<'w, W>(pub(crate) &'w W);
+
+impl<W: Workload> Target for Fresh<'_, W> {
+    type Output = W::Output;
+    type Ckpt = Infallible;
+    type Scratch = Option<W::Output>;
+
+    fn scratch(&self) -> Self::Scratch {
+        None
+    }
+
+    fn taps(ckpt: &Infallible) -> &TapSnapshot {
+        match *ckpt {}
+    }
+
+    fn digests(ckpt: &Infallible) -> DigestTrace {
+        match *ckpt {}
+    }
+
+    fn exec(&self, _from: Option<&Infallible>, ws: &mut Self::Scratch) -> Result<(), SimError> {
+        *ws = Some(self.0.run()?);
+        Ok(())
+    }
+
+    fn output<'s>(&self, ws: &'s Self::Scratch) -> &'s W::Output {
+        ws.as_ref().expect("read only after a successful run")
+    }
+
+    fn keep(&self, ws: &mut Self::Scratch) -> W::Output {
+        ws.take().expect("read only after a successful run")
     }
 }
 
-/// Execute one injected run fast-forwarded from `ckpt` (or from scratch
-/// when `None`) into a reusable per-worker workspace, and classify its
-/// outcome. Exactness rests on the [`Checkpointed`] and
-/// [`ScratchWorkload`] contracts: the skipped prefix is bit-identical to
-/// the golden run because the armed fault lies beyond the checkpoint,
-/// and workspace reuse never changes the tap stream or output.
-///
-/// Classification compares the output *borrowed* from the workspace;
-/// only SDC outcomes (when retained) pay for a clone.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_one_from_scratch<W: ScratchCheckpointed>(
-    workload: &W,
-    golden: &GoldenRun<W::Output>,
-    ckpt: Option<&W::Checkpoint>,
-    spec: FaultSpec,
-    budget: u64,
-    keep_sdc: bool,
-    index: usize,
-    scratch: &mut W::Scratch,
-) -> Injection<W::Output>
+/// A [`ScratchCheckpointed`] workload as a run target: runs execute
+/// into its own workspace and may fast-forward from a checkpoint.
+pub(crate) struct Resumable<'w, W>(pub(crate) &'w W);
+
+impl<W: ScratchCheckpointed> Target for Resumable<'_, W>
 where
     W::Output: Clone,
 {
-    metrics::add(
-        if ckpt.is_some() {
-            phase::RUNS_RESUMED
-        } else {
-            phase::RUNS_FROM_SCRATCH
-        },
-        1,
-    );
-    let t_setup = metrics::start();
-    let recorder = golden.digests.is_some().then(|| match ckpt {
-        Some(c) => forensics::begin_recording_at(W::digest_snapshot(c)),
-        None => forensics::begin_recording(),
-    });
-    let guard = match ckpt {
-        Some(c) => session::begin_injection_at(spec, golden.mask, budget, W::tap_snapshot(c)),
-        None => session::begin_injection(spec, golden.mask, budget),
-    };
-    metrics::stop(phase::SETUP, t_setup);
-    let t_exec = metrics::start();
-    state::with(|s| s.in_injection.set(true));
-    let result = panic::catch_unwind(AssertUnwindSafe(|| match ckpt {
-        Some(c) => workload.resume_scratch(c, &mut *scratch),
-        None => workload.run_scratch(&mut *scratch),
-    }));
-    state::with(|s| s.in_injection.set(false));
-    metrics::stop(phase::EXEC, t_exec);
-    let t_teardown = metrics::start();
-    let fired = session::report().fired;
-    drop(guard);
-    let trace = recorder.map(|r| {
-        let t = forensics::current_trace();
-        drop(r);
-        t
-    });
-    metrics::stop(phase::TEARDOWN, t_teardown);
-    let t_classify = metrics::start();
-    let (outcome, sdc_output) = match result {
-        Err(_) => (Outcome::CrashSegfault, None),
-        Ok(Err(SimError::Segfault)) => (Outcome::CrashSegfault, None),
-        Ok(Err(SimError::Abort)) => (Outcome::CrashAbort, None),
-        Ok(Err(SimError::Hang)) => (Outcome::Hang, None),
-        Ok(Ok(())) => {
-            let out = workload.scratch_output(scratch);
-            if *out == golden.output {
-                (Outcome::Masked, None)
-            } else {
-                (Outcome::Sdc, keep_sdc.then(|| out.clone()))
-            }
+    type Output = W::Output;
+    type Ckpt = W::Checkpoint;
+    type Scratch = W::Scratch;
+
+    fn scratch(&self) -> W::Scratch {
+        self.0.make_scratch()
+    }
+
+    fn taps(ckpt: &W::Checkpoint) -> &TapSnapshot {
+        W::tap_snapshot(ckpt)
+    }
+
+    fn digests(ckpt: &W::Checkpoint) -> DigestTrace {
+        W::digest_snapshot(ckpt)
+    }
+
+    fn exec(&self, from: Option<&W::Checkpoint>, ws: &mut W::Scratch) -> Result<(), SimError> {
+        match from {
+            Some(c) => self.0.resume_scratch(c, ws),
+            None => self.0.run_scratch(ws),
         }
-    };
-    let forensics = forensic_record(golden.digests, trace, outcome);
-    metrics::stop(phase::CLASSIFY, t_classify);
-    Injection {
-        index,
-        spec,
-        fired,
-        outcome,
-        sdc_output,
-        forensics,
+    }
+
+    fn output<'s>(&self, ws: &'s W::Scratch) -> &'s W::Output {
+        self.0.scratch_output(ws)
+    }
+
+    fn keep(&self, ws: &mut W::Scratch) -> W::Output {
+        self.0.scratch_output(ws).clone()
     }
 }
 
-/// Thread-striped parallel driver shared by the campaign variants: run
-/// `run(i, state)` for every `i < n` across `threads` workers, with
-/// worker `t` taking indices `t, t + threads, ...` — results land by
-/// index, so the output order is deterministic regardless of thread
-/// count or [`Collection`] strategy. Each worker owns one
+/// The one injected-run step, configured once per campaign: arm one
+/// single-bit fault, run the target under `catch_unwind`, and classify
+/// the result as Masked, SDC, Crash or Hang.
+pub(crate) struct Step<'g, O> {
+    /// Golden output, function mask and tap profile.
+    pub(crate) golden: &'g GoldenRun<O>,
+    /// Site filter: `None` arms the fault over every eligible tap,
+    /// `Some((func, op))` over one site group's taps only.
+    pub(crate) group: Option<(FuncId, OpClass)>,
+    /// Hang-monitor budget (see [`hang_budget`]).
+    pub(crate) budget: u64,
+    /// Whether SDC records keep their corrupted output.
+    pub(crate) keep_sdc: bool,
+    /// Golden digest trace to attribute against; `Some` installs a
+    /// forensic recorder for every run.
+    pub(crate) digests: Option<DigestTrace>,
+}
+
+impl<'g, O: PartialEq> Step<'g, O> {
+    /// A site-group pilot, as pruned and composed campaigns record it:
+    /// no forensic recorder and no retained SDC output.
+    pub(crate) fn pilot(golden: &'g GoldenRun<O>, group: &SiteGroup, budget: u64) -> Self {
+        Step {
+            golden,
+            group: Some((group.func, group.op)),
+            budget,
+            keep_sdc: false,
+            digests: None,
+        }
+    }
+
+    /// Execute run `index` with `spec` armed, starting from scratch or
+    /// after checkpoint `from`, into workspace `ws`. Exactness of a
+    /// resumed run rests on the [`Checkpointed`] and [`ScratchWorkload`]
+    /// contracts: the skipped prefix is bit-identical to the golden run
+    /// because the armed fault lies beyond the checkpoint, and workspace
+    /// reuse never changes the tap stream or output. Classification
+    /// compares the output borrowed from the workspace; only retained
+    /// SDC outputs are moved or copied out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a site-group run is asked to resume from a checkpoint
+    /// (checkpoints carry no per-group tap counts).
+    pub(crate) fn run<T: Target<Output = O>>(
+        &self,
+        target: &T,
+        spec: FaultSpec,
+        index: usize,
+        from: Option<&T::Ckpt>,
+        ws: &mut T::Scratch,
+    ) -> Injection<O> {
+        metrics::add(
+            if from.is_some() {
+                phase::RUNS_RESUMED
+            } else {
+                phase::RUNS_FROM_SCRATCH
+            },
+            1,
+        );
+        let t_setup = metrics::start();
+        let recorder = self.digests.is_some().then(|| match from {
+            Some(c) => forensics::begin_recording_at(T::digests(c)),
+            None => forensics::begin_recording(),
+        });
+        let (mask, budget) = (self.golden.mask, self.budget);
+        let guard = match (from, self.group) {
+            (None, None) => session::begin_injection(spec, mask, budget),
+            (None, Some((func, op))) => {
+                session::begin_injection_grouped(spec, func, op, mask, budget)
+            }
+            (Some(c), None) => session::begin_injection_at(spec, mask, budget, T::taps(c)),
+            (Some(_), Some(_)) => panic!("a site-group run cannot resume from a checkpoint"),
+        };
+        metrics::stop(phase::SETUP, t_setup);
+        let t_exec = metrics::start();
+        state::with(|s| s.in_injection.set(true));
+        let result = panic::catch_unwind(AssertUnwindSafe(|| target.exec(from, &mut *ws)));
+        state::with(|s| s.in_injection.set(false));
+        metrics::stop(phase::EXEC, t_exec);
+        let t_teardown = metrics::start();
+        let fired = session::report().fired;
+        drop(guard);
+        let trace = recorder.map(|r| {
+            let t = forensics::current_trace();
+            drop(r);
+            t
+        });
+        metrics::stop(phase::TEARDOWN, t_teardown);
+        let t_classify = metrics::start();
+        let (outcome, sdc_output) = match result {
+            Err(_) | Ok(Err(SimError::Segfault)) => (Outcome::CrashSegfault, None),
+            Ok(Err(SimError::Abort)) => (Outcome::CrashAbort, None),
+            Ok(Err(SimError::Hang)) => (Outcome::Hang, None),
+            Ok(Ok(())) if *target.output(ws) == self.golden.output => (Outcome::Masked, None),
+            Ok(Ok(())) => (Outcome::Sdc, self.keep_sdc.then(|| target.keep(ws))),
+        };
+        let forensics = forensic_record(self.digests, trace, outcome);
+        metrics::stop(phase::CLASSIFY, t_classify);
+        Injection {
+            index,
+            spec,
+            fired,
+            outcome,
+            sdc_output,
+            forensics,
+        }
+    }
+}
+
+/// Thread-striped parallel driver: run `run(i, state)` for every
+/// `i < n` across `threads` workers, with worker `t` taking indices
+/// `t, t + threads, ...`. Each worker returns its stripe through its
+/// join handle and the driver scatters records into index order, so
+/// the output order is deterministic regardless of thread count and no
+/// shared state sits on the worker path. Each worker owns one
 /// `init()`-created state for its whole stripe (the per-worker
-/// workspace of [`ScratchWorkload`] drivers).
+/// workspace of the run step).
 ///
 /// When a [`metrics::MetricsRegistry`] is installed on the calling
 /// thread, every worker is armed for lock-free metrics collection
@@ -819,104 +851,155 @@ where
 pub(crate) fn drive_with<T: Send, S>(
     n: usize,
     threads: usize,
-    collection: Collection,
     init: impl Fn() -> S + Sync,
     run: impl Fn(usize, &mut S) -> T + Sync,
 ) -> Vec<T> {
     let registry = metrics::registry();
     let registry = registry.as_deref();
-    match collection {
-        Collection::WorkerSlots => {
-            let stripes: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let run = &run;
-                        let init = &init;
-                        scope.spawn(move || {
-                            let armed = registry.map(|_| metrics::arm());
-                            let wall = metrics::start();
-                            let mut state = init();
-                            let mut local = Vec::with_capacity(n.div_ceil(threads.max(1)));
-                            let mut i = t;
-                            while i < n {
-                                local.push((i, run(i, &mut state)));
-                                i += threads;
-                            }
-                            metrics::stop(phase::WORKER_WALL, wall);
-                            if let (Some(reg), Some(g)) = (registry, armed) {
-                                reg.absorb(t, g.finish());
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("campaign worker panicked"))
-                    .collect()
-            });
-            let scatter_start = registry.map(|_| std::time::Instant::now());
-            let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-            for stripe in stripes {
-                for (idx, rec) in stripe {
-                    slots[idx] = Some(rec);
-                }
-            }
-            if let (Some(reg), Some(t0)) = (registry, scatter_start) {
-                let mut driver = metrics::WorkerMetrics::default();
-                driver.record_ns(phase::COLLECT, t0.elapsed().as_nanos() as u64);
-                reg.absorb(threads, driver);
-            }
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every injection slot must be filled"))
-                .collect()
+    let stripes: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let run = &run;
+                let init = &init;
+                scope.spawn(move || {
+                    let armed = registry.map(|_| metrics::arm());
+                    let wall = metrics::start();
+                    let mut state = init();
+                    let mut local = Vec::with_capacity(n.div_ceil(threads.max(1)));
+                    let mut i = t;
+                    while i < n {
+                        local.push((i, run(i, &mut state)));
+                        i += threads;
+                    }
+                    metrics::stop(phase::WORKER_WALL, wall);
+                    if let (Some(reg), Some(g)) = (registry, armed) {
+                        reg.absorb(t, g.finish());
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("campaign worker panicked"))
+            .collect()
+    });
+    let scatter_start = registry.map(|_| std::time::Instant::now());
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for stripe in stripes {
+        for (idx, rec) in stripe {
+            slots[idx] = Some(rec);
         }
-        Collection::SharedMutex => {
-            let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-            std::thread::scope(|scope| {
-                for t in 0..threads {
-                    let results = &results;
-                    let run = &run;
-                    let init = &init;
-                    scope.spawn(move || {
-                        let armed = registry.map(|_| metrics::arm());
-                        let wall = metrics::start();
-                        let mut state = init();
-                        let mut local = Vec::with_capacity(n.div_ceil(threads.max(1)));
-                        let mut i = t;
-                        while i < n {
-                            local.push((i, run(i, &mut state)));
-                            i += threads;
-                        }
-                        let t_lock = metrics::start();
-                        let mut slots = results.lock().expect("campaign result mutex poisoned");
-                        metrics::stop(phase::LOCK_WAIT, t_lock);
-                        for (idx, rec) in local {
-                            slots[idx] = Some(rec);
-                        }
-                        drop(slots);
-                        metrics::stop(phase::WORKER_WALL, wall);
-                        if let (Some(reg), Some(g)) = (registry, armed) {
-                            reg.absorb(t, g.finish());
-                        }
-                    });
-                }
-            });
-            results
-                .into_inner()
-                .expect("campaign result mutex poisoned")
-                .into_iter()
-                .map(|slot| slot.expect("every injection slot must be filled"))
-                .collect()
+    }
+    if let (Some(reg), Some(t0)) = (registry, scatter_start) {
+        let mut driver = metrics::WorkerMetrics::default();
+        driver.record_ns(phase::COLLECT, t0.elapsed().as_nanos() as u64);
+        reg.absorb(threads, driver);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every injection slot must be filled"))
+        .collect()
+}
+
+/// The one campaign driver. Set up once per campaign (site check,
+/// quiet panic hook, telemetry monitor), it then runs any range of run
+/// indices: each run draws its fault, picks the latest checkpoint that
+/// lies before the fault's tap, and takes the run step on its worker's
+/// workspace. Fixed-budget campaigns run one range; adaptive campaigns
+/// run consecutive batches.
+pub(crate) struct Driver<'a, T: Target> {
+    target: T,
+    checkpoints: &'a [T::Ckpt],
+    cfg: &'a CampaignConfig,
+    sites: u64,
+    step: Step<'a, T::Output>,
+    monitor: crate::telemetry::CampaignMonitor,
+}
+
+impl<'a, T: Target> Driver<'a, T> {
+    /// # Panics
+    ///
+    /// Panics if the golden profile recorded zero eligible taps for the
+    /// campaign's register class — there would be nowhere to inject.
+    pub(crate) fn new(
+        target: T,
+        golden: &'a GoldenRun<T::Output>,
+        checkpoints: &'a [T::Ckpt],
+        cfg: &'a CampaignConfig,
+    ) -> Self {
+        let sites = golden.profile.sites(cfg.class);
+        assert!(
+            sites > 0,
+            "no eligible {} taps recorded in the golden profile",
+            cfg.class
+        );
+        install_quiet_hook();
+        let monitor = crate::telemetry::CampaignMonitor::new(
+            cfg,
+            sites,
+            checkpoints.len(),
+            golden.digests.is_some(),
+        );
+        Driver {
+            target,
+            checkpoints,
+            cfg,
+            sites,
+            step: Step {
+                golden,
+                group: None,
+                budget: hang_budget(&golden.profile, cfg.hang_factor),
+                keep_sdc: cfg.keep_sdc_outputs,
+                digests: golden.digests,
+            },
+            monitor,
         }
+    }
+
+    /// Run indices `runs` across up to `cfg.threads` workers; records
+    /// come back in index order.
+    pub(crate) fn run(&self, runs: Range<usize>) -> Vec<Injection<T::Output>> {
+        let threads = self.cfg.threads.min(runs.len().max(1));
+        drive_with(
+            runs.len(),
+            threads,
+            || self.target.scratch(),
+            |j, ws| {
+                let i = runs.start + j;
+                let t_draw = metrics::start();
+                let spec = draw_spec(self.cfg, self.sites, i);
+                let usable = self
+                    .checkpoints
+                    .partition_point(|c| T::taps(c).eligible(self.cfg.class) <= spec.tap_index);
+                let from = usable.checked_sub(1).map(|k| &self.checkpoints[k]);
+                metrics::stop(phase::DRAW, t_draw);
+                let rec = self.step.run(&self.target, spec, i, from, ws);
+                self.monitor.record(&rec);
+                rec
+            },
+        )
+    }
+
+    /// Emit the campaign's final telemetry snapshot.
+    pub(crate) fn finish(self) {
+        self.monitor.finish();
     }
 }
 
-/// [`drive_with`] without per-worker state, under the default
-/// collection strategy.
-pub(crate) fn drive<T: Send>(n: usize, threads: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    drive_with(n, threads, Collection::default(), || (), |i, ()| run(i))
+/// A fixed-budget campaign: all of `cfg`'s runs through one driver.
+fn fixed<T: Target>(
+    target: T,
+    golden: &GoldenRun<T::Output>,
+    checkpoints: &[T::Ckpt],
+    cfg: &CampaignConfig,
+) -> Vec<Injection<T::Output>> {
+    // Telemetry-only span on the driver thread; workers run sink-free.
+    let _stage = vs_telemetry::span("campaign");
+    let driver = Driver::new(target, golden, checkpoints, cfg);
+    let records = driver.run(0..cfg.injections);
+    driver.finish();
+    records
 }
 
 /// Run a fault-injection campaign against `workload`.
@@ -933,41 +1016,7 @@ pub fn run_campaign<W: Workload>(
     golden: &GoldenRun<W::Output>,
     cfg: &CampaignConfig,
 ) -> Vec<Injection<W::Output>> {
-    let sites = golden.profile.sites(cfg.class);
-    assert!(
-        sites > 0,
-        "no eligible {} taps recorded in the golden profile",
-        cfg.class
-    );
-    // Telemetry-only span on the driver thread; workers run sink-free.
-    let _stage = vs_telemetry::span("campaign");
-    install_quiet_hook();
-    let budget = golden
-        .profile
-        .instr
-        .total
-        .saturating_mul(cfg.hang_factor)
-        .saturating_add(1_000_000);
-
-    let n = cfg.injections;
-    let threads = cfg.threads.min(n.max(1));
-    let monitor = crate::telemetry::CampaignMonitor::new(cfg, sites, 0, golden.digests.is_some());
-    let records = drive_with(
-        n,
-        threads,
-        cfg.collection,
-        || (),
-        |i, ()| {
-            let t_draw = metrics::start();
-            let spec = draw_spec(cfg, sites, i);
-            metrics::stop(phase::DRAW, t_draw);
-            let rec = run_one(workload, golden, spec, budget, cfg.keep_sdc_outputs, i);
-            monitor.record(&rec);
-            rec
-        },
-    );
-    monitor.finish();
-    records
+    fixed(Fresh(workload), golden, &[], cfg)
 }
 
 /// Run a fault-injection campaign with golden-prefix fast-forward and
@@ -994,60 +1043,12 @@ pub fn run_campaign_checkpointed<W: ScratchCheckpointed>(
 where
     W::Output: Clone,
 {
-    let g = &golden.golden;
-    let sites = g.profile.sites(cfg.class);
-    assert!(
-        sites > 0,
-        "no eligible {} taps recorded in the golden profile",
-        cfg.class
-    );
-    // Telemetry-only span on the driver thread; workers run sink-free.
-    let _stage = vs_telemetry::span("campaign");
-    install_quiet_hook();
-    let budget = g
-        .profile
-        .instr
-        .total
-        .saturating_mul(cfg.hang_factor)
-        .saturating_add(1_000_000);
-
-    let n = cfg.injections;
-    let threads = cfg.threads.min(n.max(1));
-    let monitor = crate::telemetry::CampaignMonitor::new(
+    fixed(
+        Resumable(workload),
+        &golden.golden,
+        &golden.checkpoints,
         cfg,
-        sites,
-        golden.checkpoints.len(),
-        g.digests.is_some(),
-    );
-    let records = drive_with(
-        n,
-        threads,
-        cfg.collection,
-        || workload.make_scratch(),
-        |i, scratch| {
-            let t_draw = metrics::start();
-            let spec = draw_spec(cfg, sites, i);
-            let usable = golden
-                .checkpoints
-                .partition_point(|c| W::tap_snapshot(c).eligible(cfg.class) <= spec.tap_index);
-            let ckpt = usable.checked_sub(1).map(|j| &golden.checkpoints[j]);
-            metrics::stop(phase::DRAW, t_draw);
-            let rec = run_one_from_scratch(
-                workload,
-                g,
-                ckpt,
-                spec,
-                budget,
-                cfg.keep_sdc_outputs,
-                i,
-                scratch,
-            );
-            monitor.record(&rec);
-            rec
-        },
-    );
-    monitor.finish();
-    records
+    )
 }
 
 #[cfg(test)]
@@ -1589,51 +1590,6 @@ mod tests {
         }
     }
 
-    /// Both result-collection strategies must produce bit-identical
-    /// record lists at every thread count — the per-worker-slots fix is
-    /// an optimization of *how* records travel, never of what they say.
-    #[test]
-    fn collection_strategies_are_outcome_identical() {
-        let g = profile_golden(&Toy).unwrap();
-        let ck = profile_golden_checkpointed(&Toy, CheckpointPolicy::EveryKFrames(7)).unwrap();
-        for threads in [1, 4] {
-            let base = CampaignConfig::new(RegClass::Gpr, 120)
-                .seed(33)
-                .threads(threads);
-            let slots = run_campaign(&Toy, &g, &base.clone().collection(Collection::WorkerSlots));
-            let mutexed = run_campaign(&Toy, &g, &base.clone().collection(Collection::SharedMutex));
-            let a: Vec<_> = slots
-                .iter()
-                .map(|r| (r.index, r.spec, r.outcome, r.fired))
-                .collect();
-            let b: Vec<_> = mutexed
-                .iter()
-                .map(|r| (r.index, r.spec, r.outcome, r.fired))
-                .collect();
-            assert_eq!(a, b, "plain campaign, {threads} threads");
-            let ck_base = base.checkpoint_policy(CheckpointPolicy::EveryKFrames(7));
-            let slots = run_campaign_checkpointed(
-                &Toy,
-                &ck,
-                &ck_base.clone().collection(Collection::WorkerSlots),
-            );
-            let mutexed = run_campaign_checkpointed(
-                &Toy,
-                &ck,
-                &ck_base.clone().collection(Collection::SharedMutex),
-            );
-            let a: Vec<_> = slots
-                .iter()
-                .map(|r| (r.index, r.spec, r.outcome, r.fired))
-                .collect();
-            let b: Vec<_> = mutexed
-                .iter()
-                .map(|r| (r.index, r.spec, r.outcome, r.fired))
-                .collect();
-            assert_eq!(a, b, "checkpointed campaign, {threads} threads");
-        }
-    }
-
     /// Zero-perturbation for the metrics layer, mirroring the telemetry
     /// and forensics invariants: an installed registry must leave
     /// golden profiles, draws, fired faults and outcomes bit-identical.
@@ -1667,63 +1623,50 @@ mod tests {
         let ck = profile_golden_checkpointed(&Toy, CheckpointPolicy::EveryKFrames(7)).unwrap();
         let n = 60usize;
         let threads = 2usize;
-        for collection in [Collection::WorkerSlots, Collection::SharedMutex] {
-            let cfg = CampaignConfig::new(RegClass::Gpr, n)
-                .seed(21)
-                .threads(threads)
-                .checkpoint_policy(CheckpointPolicy::EveryKFrames(7))
-                .collection(collection);
-            let reg = std::sync::Arc::new(metrics::MetricsRegistry::new());
-            {
-                let _g = metrics::install(reg.clone());
-                run_campaign_checkpointed(&Toy, &ck, &cfg);
-            }
-            let merged = reg.merged();
-            for name in [
-                phase::DRAW,
-                phase::SETUP,
-                phase::EXEC,
-                phase::TEARDOWN,
-                phase::CLASSIFY,
-            ] {
-                let h = merged
-                    .histogram(name)
-                    .unwrap_or_else(|| panic!("{name} histogram missing ({collection:?})"));
-                assert_eq!(h.count(), n as u64, "{name} samples ({collection:?})");
-            }
-            let wall = merged.histogram(phase::WORKER_WALL).expect("worker_wall");
-            assert_eq!(wall.count(), threads as u64);
-            assert_eq!(
-                merged.counter(phase::RUNS_RESUMED) + merged.counter(phase::RUNS_FROM_SCRATCH),
-                n as u64
-            );
-            // Attribution: named phases nest inside the stripe wall.
-            let attributed: u64 = phase::TOP
-                .iter()
-                .filter_map(|p| merged.histogram(p))
-                .map(|h| h.sum())
-                .sum();
-            assert!(attributed > 0);
-            assert!(
-                attributed <= wall.sum(),
-                "phases cannot exceed the wall they nest in ({collection:?})"
-            );
-            match collection {
-                Collection::SharedMutex => {
-                    let lw = merged.histogram(phase::LOCK_WAIT).expect("lock_wait");
-                    assert_eq!(lw.count(), threads as u64);
-                    assert!(merged.histogram(phase::COLLECT).is_none());
-                }
-                Collection::WorkerSlots => {
-                    assert!(merged.histogram(phase::LOCK_WAIT).is_none());
-                    // The driver deposits scatter time under id `threads`.
-                    let per = reg.per_worker();
-                    assert_eq!(per.len(), threads + 1);
-                    assert_eq!(per[threads].0, threads);
-                    assert!(per[threads].1.histogram(phase::COLLECT).is_some());
-                }
-            }
+        let cfg = CampaignConfig::new(RegClass::Gpr, n)
+            .seed(21)
+            .threads(threads)
+            .checkpoint_policy(CheckpointPolicy::EveryKFrames(7));
+        let reg = std::sync::Arc::new(metrics::MetricsRegistry::new());
+        {
+            let _g = metrics::install(reg.clone());
+            run_campaign_checkpointed(&Toy, &ck, &cfg);
         }
+        let merged = reg.merged();
+        for name in [
+            phase::DRAW,
+            phase::SETUP,
+            phase::EXEC,
+            phase::TEARDOWN,
+            phase::CLASSIFY,
+        ] {
+            let h = merged
+                .histogram(name)
+                .unwrap_or_else(|| panic!("{name} histogram missing"));
+            assert_eq!(h.count(), n as u64, "{name} samples");
+        }
+        let wall = merged.histogram(phase::WORKER_WALL).expect("worker_wall");
+        assert_eq!(wall.count(), threads as u64);
+        assert_eq!(
+            merged.counter(phase::RUNS_RESUMED) + merged.counter(phase::RUNS_FROM_SCRATCH),
+            n as u64
+        );
+        // Attribution: named phases nest inside the stripe wall.
+        let attributed: u64 = phase::TOP
+            .iter()
+            .filter_map(|p| merged.histogram(p))
+            .map(|h| h.sum())
+            .sum();
+        assert!(attributed > 0);
+        assert!(
+            attributed <= wall.sum(),
+            "phases cannot exceed the wall they nest in"
+        );
+        // The driver deposits scatter time under id `threads`.
+        let per = reg.per_worker();
+        assert_eq!(per.len(), threads + 1);
+        assert_eq!(per[threads].0, threads);
+        assert!(per[threads].1.histogram(phase::COLLECT).is_some());
     }
 
     #[test]
@@ -1731,8 +1674,14 @@ mod tests {
         let g = profile_golden(&Spinner).unwrap();
         // Flip a high bit of the single control tap: guaranteed huge bound.
         let spec = FaultSpec::new(RegClass::Gpr, 0, 40);
-        let budget = g.profile.instr.total * 16 + 1000;
-        let rec = run_one(&Spinner, &g, spec, budget, true, 0);
+        let step = Step {
+            golden: &g,
+            group: None,
+            budget: g.profile.instr.total * 16 + 1000,
+            keep_sdc: true,
+            digests: None,
+        };
+        let rec = step.run(&Fresh(&Spinner), spec, 0, None, &mut None);
         assert_eq!(rec.outcome, Outcome::Hang);
     }
 }

@@ -354,12 +354,7 @@ pub fn run_composed_campaign<W: Workload>(
         "no populated GPR site groups in the golden profile"
     );
     campaign::install_quiet_hook();
-    let budget = golden
-        .profile
-        .instr
-        .total
-        .saturating_mul(cfg.hang_factor.max(2))
-        .saturating_add(1_000_000);
+    let budget = campaign::hang_budget(&golden.profile, cfg.hang_factor.max(2));
     let config_digest = cfg.digest();
 
     let mut group_outcomes = Vec::with_capacity(groups.len());
@@ -466,16 +461,23 @@ fn inject_group<W: Workload>(
         .max(cfg.min_pilots)
         .min(group.population as usize)
         .max(1);
+    let step = campaign::Step::pilot(golden, group, budget);
+    let target = campaign::Fresh(workload);
     let mut recs: Vec<Injection<W::Output>> = Vec::new();
     while recs.len() < cap {
         let start = recs.len();
         let n_batch = cfg.batch.max(1).min(cap - start);
         let threads = cfg.threads.max(1).min(n_batch);
-        let batch = campaign::drive(n_batch, threads, |j| {
-            let p = start + j;
-            let spec = pilot_spec(cfg.seed, group, p);
-            pruning::run_one_grouped(workload, golden, spec, *group, budget, base_index + p)
-        });
+        let batch = campaign::drive_with(
+            n_batch,
+            threads,
+            || None,
+            |j, ws| {
+                let p = start + j;
+                let spec = pilot_spec(cfg.seed, group, p);
+                step.run(&target, spec, base_index + p, None, ws)
+            },
+        );
         recs.extend(batch);
         if recs.len() >= cfg.min_pilots.min(cap)
             && adaptive::max_half_width(&outcome_rates(&recs)) <= cfg.epsilon_pp
@@ -654,6 +656,50 @@ mod tests {
         };
         let res = run_composed_campaign(&w, &golden, &reseeded, &mut cache);
         assert_eq!(res.reused_groups, 0);
+    }
+
+    /// Composed pilots run through the campaign run step: under an
+    /// installed metrics registry every executed pilot records one
+    /// sample per step phase, the records match a metrics-off run, and
+    /// pilots still carry no forensic payload and no SDC output.
+    #[test]
+    fn composed_pilots_record_step_phases() {
+        use crate::campaign::phase;
+        use vs_telemetry::metrics;
+        let w = TwoStage { warp_knob: 3 };
+        let golden = profile_golden_forensic(&w).unwrap();
+        let cfg = compose_cfg();
+        let quiet = run_composed_campaign(&w, &golden, &cfg, &mut CampaignCache::new());
+        let reg = std::sync::Arc::new(metrics::MetricsRegistry::new());
+        let metered = {
+            let _g = metrics::install(reg.clone());
+            run_composed_campaign(&w, &golden, &cfg, &mut CampaignCache::new())
+        };
+        let fp = |r: &ComposedResult<(u64, u64)>| {
+            r.records
+                .iter()
+                .map(|x| (x.index, x.spec, x.outcome, x.fired))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(fp(&quiet), fp(&metered));
+        let n = metered.injections_executed as u64;
+        assert!(n > 0);
+        let merged = reg.merged();
+        for name in [phase::SETUP, phase::EXEC, phase::TEARDOWN, phase::CLASSIFY] {
+            let h = merged
+                .histogram(name)
+                .unwrap_or_else(|| panic!("{name} histogram missing"));
+            assert_eq!(h.count(), n, "{name} samples");
+        }
+        assert_eq!(merged.counter(phase::RUNS_FROM_SCRATCH), n);
+        assert!(metered
+            .records
+            .iter()
+            .any(|r| r.outcome == crate::campaign::Outcome::Sdc));
+        for r in &metered.records {
+            assert!(r.forensics.is_none(), "pilot {} has forensics", r.index);
+            assert!(r.sdc_output.is_none(), "pilot {} kept its output", r.index);
+        }
     }
 
     #[test]

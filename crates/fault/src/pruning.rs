@@ -16,14 +16,12 @@
 //! combines the per-group outcome rates into a population-weighted
 //! estimate of the full-campaign rates.
 
-use crate::campaign::{GoldenRun, Injection, Workload};
+use crate::campaign::{self, GoldenRun, Injection, Workload};
 use crate::func::{FuncId, OpClass};
+use crate::mix64;
 use crate::session::group_index;
 use crate::spec::{FaultSpec, RegClass, REG_BITS};
-use crate::state;
 use crate::stats::{outcome_rates, OutcomeRates};
-use crate::{mix64, session};
-use std::panic::{self, AssertUnwindSafe};
 
 /// One populated `(function, op-class)` site group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,12 +117,9 @@ pub fn run_pruned_campaign<W: Workload>(
         !groups.is_empty(),
         "no populated GPR site groups in the golden profile"
     );
-    let budget = golden
-        .profile
-        .instr
-        .total
-        .saturating_mul(cfg.hang_factor.max(2))
-        .saturating_add(1_000_000);
+    let budget = campaign::hang_budget(&golden.profile, cfg.hang_factor.max(2));
+    let target = campaign::Fresh(workload);
+    let mut ws = None;
 
     let mut per_group = Vec::with_capacity(groups.len());
     let mut all_records = Vec::new();
@@ -136,20 +131,14 @@ pub fn run_pruned_campaign<W: Workload>(
         let pilots = ((cfg.total_pilots as f64 * share).round() as usize)
             .max(cfg.min_pilots_per_group)
             .min(group.population as usize);
+        let step = campaign::Step::pilot(golden, group, budget);
         let mut records = Vec::with_capacity(pilots);
         for p in 0..pilots {
             let h = mix64(cfg.seed ^ mix64((gi as u64) << 32 | p as u64));
             let tap_index = mix64(h ^ 0x0009_0113) % group.population;
             let bit = (mix64(h ^ 0xb17) % REG_BITS as u64) as u8;
             let spec = FaultSpec::new(RegClass::Gpr, tap_index, bit);
-            records.push(run_one_grouped(
-                workload,
-                golden,
-                spec,
-                *group,
-                budget,
-                injections + p,
-            ));
+            records.push(step.run(&target, spec, injections + p, None, &mut ws));
         }
         injections += records.len();
         per_group.push((*group, outcome_rates(&records)));
@@ -210,60 +199,6 @@ pub fn weighted_estimate(groups: &[(SiteGroup, OutcomeRates)], n: usize) -> Outc
         estimate.crash_abort_share = 100.0 * abort_share / crash_weight;
     }
     estimate
-}
-
-/// Execute one group-confined injected run.
-pub(crate) fn run_one_grouped<W: Workload>(
-    workload: &W,
-    golden: &GoldenRun<W::Output>,
-    spec: FaultSpec,
-    group: SiteGroup,
-    budget: u64,
-    index: usize,
-) -> Injection<W::Output> {
-    let guard = session::begin_injection_grouped(spec, group.func, group.op, golden.mask, budget);
-    state::with(|s| s.in_injection.set(true));
-    let result = panic::catch_unwind(AssertUnwindSafe(|| workload.run()));
-    state::with(|s| s.in_injection.set(false));
-    let fired = session::report().fired;
-    drop(guard);
-    match result {
-        Err(_) => Injection {
-            index,
-            spec,
-            fired,
-            outcome: crate::campaign::Outcome::CrashSegfault,
-            sdc_output: None,
-            forensics: None,
-        },
-        Ok(Err(e)) => Injection {
-            index,
-            spec,
-            fired,
-            outcome: match e {
-                crate::SimError::Segfault => crate::campaign::Outcome::CrashSegfault,
-                crate::SimError::Abort => crate::campaign::Outcome::CrashAbort,
-                crate::SimError::Hang => crate::campaign::Outcome::Hang,
-            },
-            sdc_output: None,
-            forensics: None,
-        },
-        Ok(Ok(out)) => {
-            let outcome = if out == golden.output {
-                crate::campaign::Outcome::Masked
-            } else {
-                crate::campaign::Outcome::Sdc
-            };
-            Injection {
-                index,
-                spec,
-                fired,
-                outcome,
-                sdc_output: None,
-                forensics: None,
-            }
-        }
-    }
 }
 
 #[cfg(test)]

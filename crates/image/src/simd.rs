@@ -294,9 +294,7 @@ enum Width {
 /// Run one horizontal blur row with AVX2.
 fn hrow(src: &[u8], dst: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: every caller runs this only on a host with AVX2:
-    // `blur5x5_avx2` asserts it, and `hrow_dispatch` only at the Avx2
-    // dispatch level, which `dispatch::level` verifies is available.
+    // SAFETY: the only caller, `blur5x5_avx2`, asserts AVX2 is present.
     unsafe {
         x86::hrow_avx2(src, dst)
     }
@@ -428,24 +426,6 @@ pub fn downsample_half_avx2(img: &GrayImage, out: &mut GrayImage) -> bool {
         "downsample_half_avx2 requires AVX2"
     );
     downsample_width(img, out, Width::Avx2)
-}
-
-/// Dispatch-level row kernels for the band-parallel blur: one
-/// horizontal row at the process dispatch level. Below Avx2 the rows
-/// are the SWAR pass's, as in the single-threaded blur.
-pub(crate) fn hrow_dispatch(src: &[u8], dst: &mut [u8]) {
-    match crate::dispatch::level() {
-        crate::dispatch::SimdLevel::Avx2 => hrow(src, dst),
-        _ => crate::filter::blur5_hrow_swar(src, dst),
-    }
-}
-
-/// One vertical row at the process dispatch level.
-pub(crate) fn vrow_dispatch(rows: &[&[u8]; 5], dst: &mut [u8]) {
-    match crate::dispatch::level() {
-        crate::dispatch::SimdLevel::Avx2 => vrow(rows, dst),
-        _ => crate::filter::blur5_vrow_swar(rows, dst),
-    }
 }
 
 #[cfg(test)]

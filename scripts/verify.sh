@@ -30,6 +30,21 @@ if [ "$UNSAFE_FOUND" != "$(printf '%s\n' "$UNSAFE_ALLOWED" | sort)" ]; then
     exit 1
 fi
 
+echo "== one injected-run path: catch_unwind grep gate =="
+# Every injected run goes through the one run step in
+# crates/fault/src/campaign.rs, which holds the only crash boundary. A
+# second `catch_unwind` in non-test vs-fault code (comments and the
+# trailing #[cfg(test)] module excluded) means a second run path.
+CATCH_UNWIND=$(for f in crates/fault/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
+         /catch_unwind/ { print FILENAME ":" FNR }' "$f"
+done)
+if [ "$(printf '%s\n' "$CATCH_UNWIND" | grep -c .)" -ne 1 ]; then
+    echo "error: expected exactly one catch_unwind in crates/fault/src, found:" >&2
+    printf '%s\n' "$CATCH_UNWIND" >&2
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release =="
 # --workspace: a plain `cargo build` only builds the root package and
 # its dependencies, leaving the bench binaries the smokes below run
